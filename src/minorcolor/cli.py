@@ -15,6 +15,7 @@ Exit codes:
   5  minimum-degree premise violated (witness printed)
   6  independence guarantee violated (witness printed)
   7  search-mindegree found a counterexample
+  8  color --audit found the forbidden minor in a neighborhood (witness printed)
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .coloring import color_by_contraction
 from .errors import (
     IndependenceShortfall,
     MinDegreeExceeded,
+    MinorAuditFailed,
     MinorColorError,
     ParseError,
     ResourceLimitExceeded,
@@ -48,6 +50,7 @@ from .indep import applicable_variants, gamma_constant, independence_guarantee
 from .minor import (
     DEFAULT_SEARCH_CAP,
     EXTREMAL_EDGE_BOUNDS,
+    MinorModel,
     edge_count_forces_minor,
     has_clique_minor,
 )
@@ -58,6 +61,7 @@ EXIT_RESOURCE = 4
 EXIT_MIN_DEGREE = 5
 EXIT_SHORTFALL = 6
 EXIT_COUNTEREXAMPLE = 7
+EXIT_AUDIT = 8
 
 ORACLE_CAP_ENV = "MINORCOLOR_ORACLE_CAP"
 
@@ -162,6 +166,26 @@ def cmd_color(args) -> int:
         ]
         _emit(args, "color", config, result, text)
         return EXIT_SHORTFALL
+    except MinorAuditFailed as exc:
+        # branch sets in the ids of the printed (densified) edge list
+        relabel = {v: i for i, v in enumerate(exc.subgraph.vertices)}
+        model = MinorModel(
+            tuple(frozenset(relabel[v] for v in s) for s in exc.model.branch_sets)
+        )
+        result = {
+            "error": "minor_audit_failed",
+            "witness": [sorted(s) for s in model.branch_sets],
+            "witness_edge_list": write_edge_list(exc.subgraph),
+        }
+        text = [
+            f"premise violated: a neighborhood graph has a K{args.t} minor",
+            "witness neighborhood graph:",
+            write_edge_list(exc.subgraph).rstrip("\n"),
+            "branch sets:",
+            *model.to_lines(),
+        ]
+        _emit(args, "color", config, result, text)
+        return EXIT_AUDIT
 
     result = {
         "n": g.n,
@@ -369,47 +393,6 @@ def _conjecture_corpus(t: int, seed: int) -> Iterator[tuple[str, Graph, int, str
         raise ValueError("conjecture search supports t in {6, 7, 8}")
 
 
-def _min_degree_candidates(n: int, min_deg: int) -> Iterator[Graph]:
-    """All labeled graphs on n vertices with minimum degree >= min_deg,
-    generated row by row with degree pruning (no isomorphism rejection)."""
-    if min_deg > n - 1:
-        return
-    rows: list[int] = [0] * n
-
-    def degree_so_far(v: int, upto: int) -> int:
-        d = rows[v].bit_count() if v < upto else 0
-        for i in range(min(v, upto)):
-            d += (rows[i] >> v) & 1
-        return d
-
-    def rec(i: int) -> Iterator[Graph]:
-        if i == n:
-            adj = {
-                v: rows[v] | sum(((rows[i2] >> v) & 1) << i2 for i2 in range(v))
-                for v in range(n)
-            }
-            yield Graph._from_adj(adj)
-            return
-        choices = range(1 << (n - i - 1))
-        below = degree_so_far(i, i)
-        for code in choices:
-            row = code << (i + 1)
-            if below + row.bit_count() < min_deg:
-                continue
-            rows[i] = row
-            feasible = True
-            for j in range(i + 1, n):
-                potential = degree_so_far(j, i + 1) + (j - i - 1) + (n - 1 - j)
-                if potential < min_deg:
-                    feasible = False
-                    break
-            if feasible:
-                yield from rec(i + 1)
-        rows[i] = 0
-
-    yield from rec(0)
-
-
 def cmd_search_mindegree(args) -> int:
     t = args.t
     conjectured_delta = table_row(t, "conjectured").delta
@@ -422,7 +405,6 @@ def cmd_search_mindegree(args) -> int:
         "samples": args.samples,
         "n_min": args.n_min,
         "n_max": args.n_max,
-        "max_n": args.max_n,
         "cap": cap,
     }
     entries = []
@@ -454,7 +436,7 @@ def cmd_search_mindegree(args) -> int:
             entries.append(entry)
             if status == "counterexample":
                 counterexamples.append({"entry": entry, "edge_list": write_edge_list(g)})
-    elif args.mode == "random":
+    else:
         if args.n_min > args.n_max or args.n_min < 1:
             raise ValueError("need 1 <= n-min <= n-max")
         max_seen = -1
@@ -479,29 +461,6 @@ def cmd_search_mindegree(args) -> int:
                 "name": "summary",
                 "samples": args.samples,
                 "max_min_degree_seen": max_seen,
-                "status": "summary",
-            }
-        )
-    else:  # exhaustive
-        if args.max_n > 9:
-            raise ValueError("exhaustive mode is limited to n <= 9")
-        examined = 0
-        for g in _min_degree_candidates(args.max_n, conjectured_delta + 1):
-            examined += 1
-            if has_clique_minor(g, t + 1, cap=cap) is None:
-                _, mindeg = min_degree_vertex(g)
-                entry = {
-                    "n": g.n,
-                    "m": g.m,
-                    "min_degree": mindeg,
-                    "status": "counterexample",
-                }
-                entries.append(entry)
-                counterexamples.append({"entry": entry, "edge_list": write_edge_list(g)})
-        entries.append(
-            {
-                "name": "summary",
-                "candidates_examined": examined,
                 "status": "summary",
             }
         )
@@ -590,11 +549,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search-mindegree", help="probe the minimum-degree conjectures")
     p.add_argument("--t", type=int, required=True, choices=(6, 7, 8))
-    p.add_argument("--mode", choices=("corpus", "random", "exhaustive"), default="corpus")
+    p.add_argument("--mode", choices=("corpus", "random"), default="corpus")
     p.add_argument("--samples", type=int, default=100)
     p.add_argument("--n-min", type=int, default=8, dest="n_min")
     p.add_argument("--n-max", type=int, default=12, dest="n_max")
-    p.add_argument("--max-n", type=int, default=9, dest="max_n")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--cap", type=int)
     p.add_argument("--format", choices=("text", "structured"), default="text")

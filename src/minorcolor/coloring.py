@@ -17,14 +17,16 @@ delta-vertex neighborhood graphs.  The recursion:
    least palette color absent from its neighborhood, which exists
    because at most delta - alpha + 1 colors can appear there.
 
-The recursion is driven iteratively over an explicit frame stack so that
-instance-size-deep recursions never touch the interpreter limit, and
-every run produces a step-by-step trace that can be replayed.
+The recursion runs as one loop that peels a mutable working graph in
+place, then one loop that lifts the coloring back, so instance-size-deep
+recursions never touch the interpreter limit.  Every run produces a
+step-by-step trace; replay_trace drives the same two loops to check it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 from .errors import (
     IndependenceShortfall,
@@ -35,12 +37,11 @@ from .errors import (
 from .graph import (
     Coloring,
     Graph,
-    contract_set,
-    induced_subgraph,
-    is_independent_set,
+    _bits,
+    _contract,
+    _delete,
+    _min_degree,
     is_proper_coloring,
-    min_degree_vertex,
-    without_vertex,
 )
 from .indep import max_independent_set
 from .minor import has_clique_minor
@@ -87,7 +88,6 @@ def color_by_contraction(
     *,
     audit: bool = False,
     oracle_cap: int | None = None,
-    mis_cap: int | None = None,
 ) -> ColorReport:
     """Color g with at most delta - alpha + 2 colors.
 
@@ -103,55 +103,24 @@ def color_by_contraction(
     if palette < 2:
         raise ValueError("palette bound delta - alpha + 2 must be >= 2")
 
-    # Descent: peel one vertex per step, remembering what the lift needs.
-    pending: list[tuple[int, int, frozenset[int], int | None, tuple[int, ...]]] = []
-    cur = g
-    while cur.n > 1:
-        v, d = min_degree_vertex(cur)
+    def choose(v: int, d: int, adj: dict[int, int]) -> frozenset[int]:
         if d > delta:
-            raise MinDegreeExceeded(v, d, cur)
+            raise MinDegreeExceeded(v, d, Graph._from_adj(adj))
         if d == 0:
-            pending.append((v, 0, frozenset(), None, ()))
-            cur = without_vertex(cur, v)
-            continue
-        nbrs = cur.neighbors(v)
-        neighborhood = induced_subgraph(cur, nbrs)
+            return frozenset()
+        nbrs = adj[v]
+        neighborhood = Graph._from_adj({u: adj[u] & nbrs for u in _bits(nbrs)})
         if audit:
             model = has_clique_minor(neighborhood, t, cap=oracle_cap)
             if model is not None:
                 raise MinorAuditFailed(model, neighborhood)
-        chosen = max_independent_set(neighborhood, cap=mis_cap)
+        chosen = max_independent_set(neighborhood)
         required = alpha - (delta - d)
         if len(chosen) < required:
             raise IndependenceShortfall(neighborhood, len(chosen), required)
-        merged, z = contract_set(cur, chosen | {v})
-        pending.append((v, d, chosen, z, nbrs))
-        cur = merged
+        return chosen
 
-    assignment: dict[int, int] = {v: 0 for v in cur.vertices}
-    base_size = cur.n
-
-    # Lift in reverse order of the descent.
-    steps_reversed: list[TraceStep] = []
-    for v, d, chosen, z, nbrs in reversed(pending):
-        if d == 0:
-            color = assignment[min(assignment)] if assignment else 0
-        else:
-            merged_color = assignment[z]
-            for u in chosen:
-                assignment[u] = merged_color
-            used = {assignment[u] for u in nbrs}
-            assert len(used) <= delta - alpha + 1, "neighborhood color crowding"
-            color = next((c for c in range(palette) if c not in used), None)
-            if color is None:
-                raise PaletteExhausted(
-                    f"all {palette} colors appear on the neighborhood of {v}"
-                )
-        assignment[v] = color
-        steps_reversed.append(TraceStep(v, d, chosen, z, color))
-
-    trace = ContractionTrace(steps=list(reversed(steps_reversed)), base_size=base_size)
-    coloring = Coloring(assignment, palette)
+    coloring, trace = _descend_and_lift(dict(g._adj), choose, palette)
     proper = is_proper_coloring(g, coloring) if g.n else True
     return ColorReport(
         coloring=coloring,
@@ -169,63 +138,80 @@ def replay_trace(g: Graph, trace: ContractionTrace, delta: int, alpha: int) -> C
     step, and rebuild the coloring from scratch.  Raises ValueError on any
     mismatch between the trace and what the graph dictates."""
     palette = palette_bound(delta, alpha)
-    cur = g
-    graphs: list[tuple[Graph, TraceStep]] = []
-    for step in trace.steps:
-        v, d = min_degree_vertex(cur)
-        if (v, d) != (step.vertex, step.degree):
-            raise ValueError(
-                f"trace step expects vertex {step.vertex} of degree {step.degree}, "
-                f"graph has ({v}, {d})"
-            )
-        graphs.append((cur, step))
-        if d == 0:
-            if step.independent_set or step.merged_vertex is not None:
-                raise ValueError("isolated-vertex step must not contract")
-            cur = without_vertex(cur, v)
-            continue
-        nbr_mask = cur.neighbor_mask(v)
-        for u in step.independent_set:
-            if not (nbr_mask >> u) & 1:
-                raise ValueError(f"trace set member {u} is not a neighbor of {v}")
-        if not is_independent_set(cur, step.independent_set):
-            raise ValueError("trace set is not independent")
-        cur, z = contract_set(cur, step.independent_set | {step.vertex})
-        if z != step.merged_vertex:
-            raise ValueError(f"contraction produced {z}, trace says {step.merged_vertex}")
-    if cur.n != trace.base_size:
-        raise ValueError(f"base graph has {cur.n} vertices, trace says {trace.base_size}")
+    recorded = iter(trace.steps)
 
-    assignment: dict[int, int] = {v: 0 for v in cur.vertices}
-    for before, step in reversed(graphs):
-        if step.degree == 0:
+    def choose(v: int, d: int, adj: dict[int, int]) -> frozenset[int]:
+        step = next(recorded, None)
+        if step is None or (step.vertex, step.degree) != (v, d):
+            raise ValueError(f"graph has vertex {v} of degree {d} next, trace has {step}")
+        s = step.independent_set
+        if not all((adj[v] >> u) & 1 for u in s) or any(
+            (adj[u] >> w) & 1 for u in s for w in s
+        ):
+            raise ValueError(f"trace set {sorted(s)} is not independent in N({v})")
+        return s
+
+    try:
+        coloring, rebuilt = _descend_and_lift(dict(g._adj), choose, palette)
+    except PaletteExhausted as exc:
+        raise ValueError(f"replay: {exc}") from None
+    if rebuilt != trace:
+        raise ValueError("replay rebuilds a different trace than the recorded one")
+    return coloring
+
+
+def _descend_and_lift(
+    adj: dict[int, int],
+    choose: Callable[[int, int, dict[int, int]], frozenset[int]],
+    palette: int,
+) -> tuple[Coloring, ContractionTrace]:
+    """The descent peels adj in place down to at most one vertex: each step
+    takes the minimum-degree vertex v of degree d, deletes it when d = 0 and
+    otherwise merges it with choose(v, d, adj).  The lift colors what is
+    left with 0 and undoes the steps in reverse order."""
+    pending = []
+    while len(adj) > 1:
+        v, d = _min_degree(adj)
+        chosen = choose(v, d, adj)
+        nbrs = adj[v]
+        if d == 0:
+            _delete(adj, v)
+            z = None
+        else:
+            z = _contract(adj, sum(1 << u for u in chosen) | 1 << v)
+        pending.append((v, d, chosen, z, nbrs))
+
+    assignment: dict[int, int] = {v: 0 for v in adj}
+    steps: list[TraceStep] = []
+    for v, d, chosen, z, nbrs in reversed(pending):
+        if d == 0:
             color = assignment[min(assignment)] if assignment else 0
         else:
-            merged_color = assignment[step.merged_vertex]
-            for u in step.independent_set:
+            merged_color = assignment[z]
+            for u in chosen:
                 assignment[u] = merged_color
-            used = {assignment[u] for u in before.neighbors(step.vertex)}
+            used = {assignment[u] for u in _bits(nbrs)}
             color = next((c for c in range(palette) if c not in used), None)
             if color is None:
-                raise ValueError("palette exhausted during replay")
-        if color != step.color:
-            raise ValueError(
-                f"replay colors vertex {step.vertex} with {color}, trace says {step.color}"
-            )
-        assignment[step.vertex] = color
-    return Coloring(assignment, palette)
+                raise PaletteExhausted(
+                    f"all {palette} colors appear on the neighborhood of {v}"
+                )
+        assignment[v] = color
+        steps.append(TraceStep(v, d, chosen, z, color))
+    steps.reverse()
+    return Coloring(assignment, palette), ContractionTrace(steps, base_size=len(adj))
 
 
 def elimination_order(g: Graph) -> tuple[list[int], int]:
     """Repeated minimum-degree removal; returns (order, degeneracy)."""
     order: list[int] = []
     degeneracy = 0
-    cur = g
-    while cur.n:
-        v, d = min_degree_vertex(cur)
+    adj = dict(g._adj)
+    while adj:
+        v, d = _min_degree(adj)
         degeneracy = max(degeneracy, d)
         order.append(v)
-        cur = without_vertex(cur, v)
+        _delete(adj, v)
     return order, degeneracy
 
 

@@ -12,8 +12,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .graph import Graph, _bits
-from .minor import has_clique_minor
+from .graph import Graph
+from .minor import _cliques, has_clique_minor
 
 
 @dataclass(frozen=True)
@@ -166,24 +166,6 @@ def complete_multipartite(parts: tuple[int, ...] | list[int]) -> Graph:
     return Graph(range(n), edges, max_vertices=max(64, n))
 
 
-def _cliques_of_size(g: Graph, k: int) -> list[tuple[int, ...]]:
-    """All k-cliques, each ascending, listed in lexicographic order."""
-    adj = {v: g.neighbor_mask(v) for v in g.vertices}
-    out: list[tuple[int, ...]] = []
-
-    def rec(cur: list[int], cand: int) -> None:
-        if len(cur) == k:
-            out.append(tuple(cur))
-            return
-        if len(cur) + cand.bit_count() < k:
-            return
-        for u in _bits(cand):
-            rec(cur + [u], cand & adj[u] & ~((1 << (u + 1)) - 1))
-
-    rec([], g.vertex_mask)
-    return out
-
-
 def clique_paste(
     blocks: tuple[tuple[int, ...], ...], k: int, seed: int
 ) -> Graph:
@@ -199,14 +181,14 @@ def clique_paste(
         raise ValueError("need at least one block")
     rng = random.Random(seed)
     g = complete_multipartite(blocks[0])
-    if not _cliques_of_size(g, k):
+    if next(_cliques(g, k), None) is None:
         raise ValueError(f"block {blocks[0]} has no {k}-clique to paste on")
     for parts in blocks[1:]:
         block = complete_multipartite(parts)
-        block_cliques = _cliques_of_size(block, k)
+        block_cliques = list(_cliques(block, k))
         if not block_cliques:
             raise ValueError(f"block {parts} has no {k}-clique to paste on")
-        host_cliques = _cliques_of_size(g, k)
+        host_cliques = list(_cliques(g, k))
         host_clique = host_cliques[rng.randrange(len(host_cliques))]
         block_clique = block_cliques[rng.randrange(len(block_cliques))]
         relabel = dict(zip(block_clique, host_clique))

@@ -180,7 +180,9 @@ def induced_subgraph(g: Graph, s: Iterable[int]) -> Graph:
 
 def without_vertex(g: Graph, v: int) -> Graph:
     g._check_vertex(v)
-    return induced_subgraph(g, _bits(g._vmask & ~(1 << v)))
+    adj = dict(g._adj)
+    _delete(adj, v)
+    return Graph._from_adj(adj)
 
 
 def contract_set(g: Graph, s: Iterable[int]) -> tuple[Graph, int]:
@@ -193,22 +195,8 @@ def contract_set(g: Graph, s: Iterable[int]) -> tuple[Graph, int]:
     smask = g._check_subset(s)
     if smask == 0:
         raise ValueError("cannot contract an empty vertex set")
-    z = (smask & -smask).bit_length() - 1
-    zbit = 1 << z
-    union_nbrs = 0
-    for v in _bits(smask):
-        union_nbrs |= g._adj[v]
-    znbrs = union_nbrs & ~smask
-    adj: dict[int, int] = {}
-    for v in _bits(g._vmask & ~smask | zbit):
-        if v == z:
-            adj[v] = znbrs
-        else:
-            mask = g._adj[v]
-            if mask & smask:
-                adj[v] = (mask & ~smask) | zbit
-            else:
-                adj[v] = mask
+    adj = dict(g._adj)
+    z = _contract(adj, smask)
     return Graph._from_adj(adj), z
 
 
@@ -216,13 +204,37 @@ def min_degree_vertex(g: Graph) -> tuple[int, int]:
     """A vertex of minimum degree and that degree; ties go to the smallest id."""
     if g.n == 0:
         raise ValueError("empty graph has no minimum-degree vertex")
-    best_v = -1
-    best_d = g.n
-    for v, mask in g._adj.items():
-        d = mask.bit_count()
-        if d < best_d:
-            best_v, best_d = v, d
-    return best_v, best_d
+    return _min_degree(g._adj)
+
+
+# In-place helpers over a working {vertex: neighbor mask} dict.  Keys are
+# only ever deleted (a contraction keeps the smallest id of its set), so a
+# dict built ascending stays ascending and min() picks the smallest id.
+
+
+def _delete(adj: dict[int, int], v: int) -> None:
+    vbit = 1 << v
+    for u in _bits(adj.pop(v)):
+        adj[u] &= ~vbit
+
+
+def _contract(adj: dict[int, int], smask: int) -> int:
+    """Merge the non-empty vertex set smask into its smallest id z; return z."""
+    z = (smask & -smask).bit_length() - 1
+    zbit = 1 << z
+    znbrs = adj[z]
+    for v in _bits(smask ^ zbit):
+        znbrs |= adj.pop(v)
+    znbrs &= ~smask
+    for u in _bits(znbrs):
+        adj[u] = (adj[u] & ~smask) | zbit
+    adj[z] = znbrs
+    return z
+
+
+def _min_degree(adj: dict[int, int]) -> tuple[int, int]:
+    v = min(adj, key=lambda u: adj[u].bit_count())
+    return v, adj[v].bit_count()
 
 
 def is_independent_set(g: Graph, s: Iterable[int]) -> bool:

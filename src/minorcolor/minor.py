@@ -12,6 +12,7 @@ candidate family is visited exactly once.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from .errors import ResourceLimitExceeded
 from .graph import Graph, _bits, induced_subgraph
@@ -152,7 +153,7 @@ def _reduce(g: Graph, t: int) -> Graph:
     return h
 
 
-def _find_clique(g: Graph, t: int) -> list[int] | None:
+def _find_clique(g: Graph, t: int) -> tuple[int, ...] | None:
     """A clique of size t as a subgraph, or None if this quick pass finds
     none.  Greedy always; exhaustive fallback only for t <= 8 (the main
     search stays complete either way)."""
@@ -165,24 +166,26 @@ def _find_clique(g: Graph, t: int) -> list[int] | None:
             clique.append(u)
             cand &= adj[u]
         if len(clique) >= t:
-            return clique[:t]
+            return tuple(clique[:t])
     if t > 8:
         return None
+    return next(_cliques(g, t), None)
 
-    def extend(cur: list[int], cand: int) -> list[int] | None:
-        if len(cur) == t:
-            return cur
-        if len(cur) + cand.bit_count() < t:
-            return None
+
+def _cliques(g: Graph, k: int) -> Iterator[tuple[int, ...]]:
+    """All k-cliques of g, each ascending, lazily in lexicographic order."""
+    adj = {v: g.neighbor_mask(v) for v in g.vertices}
+
+    def rec(cur: tuple[int, ...], cand: int) -> Iterator[tuple[int, ...]]:
+        if len(cur) == k:
+            yield cur
+            return
+        if len(cur) + cand.bit_count() < k:
+            return
         for u in _bits(cand):
-            above = ~((1 << (u + 1)) - 1)
-            got = extend(cur + [u], cand & adj[u] & above)
-            if got is not None:
-                return got
-        return None
+            yield from rec(cur + (u,), cand & adj[u] & ~((1 << (u + 1)) - 1))
 
-    full = g.vertex_mask
-    return extend([], full)
+    return rec((), g.vertex_mask)
 
 
 def _search_branch_sets(g: Graph, t: int) -> list[int] | None:

@@ -1,10 +1,12 @@
+import hashlib
 import json
 
 import pytest
 
 from minorcolor import Graph, MinorModel, load_graph, save_graph, validate_model
 from minorcolor.cli import main
-from minorcolor.generators import GenSpec, generate
+from minorcolor.formats import parse_edge_list
+from minorcolor.generators import GenSpec, clique_paste, generate
 
 from conftest import petersen
 
@@ -120,6 +122,56 @@ def test_color_audit_flag(tmp_path, capsys):
     assert code == 0
 
 
+def test_color_audit_failure_exit_eight(tmp_path, capsys):
+    path = str(tmp_path / "k8.el")
+    save_graph(Graph.complete(8), path)
+    code, out, _ = run(
+        capsys, "color", "--t", "6", "--delta", "9", "--alpha", "2", "--audit", path,
+        "--format", "structured",
+    )
+    assert code == 8
+    result = json.loads(out)["result"]
+    assert result["error"] == "minor_audit_failed"
+    model = MinorModel(tuple(frozenset(s) for s in result["witness"]))
+    assert model.order == 6
+    assert validate_model(parse_edge_list(result["witness_edge_list"]), model)
+
+
+# sha256 of the whole structured stdout: any change to a trace, a coloring
+# or the envelope of these runs shows up here.
+@pytest.mark.parametrize(
+    "name, build, t, digest",
+    [
+        (
+            "tri60.el",
+            lambda: generate(GenSpec("planar_triangulation", n=60, seed=3)),
+            "4",
+            "4b6e3d7a60d36cb392739e4e39f5cdfabae2ed2e581ab107881ab60f207e0bde",
+        ),
+        (
+            "paste3.el",
+            lambda: clique_paste(((2, 2, 2, 2, 2),) * 3, 5, 1),
+            "7",
+            "5b6257789b120da253437d51fdb3715805ba28b882fcba0dcb03843ad2ee9b42",
+        ),
+        (
+            "isolated.el",
+            lambda: Graph(range(9), [(0, 1), (0, 2), (1, 2), (2, 3), (5, 6)]),
+            "4",
+            "21dd3531c465fea3573cf3efdcacccef85f8706ee0629919304ee22add5068a2",
+        ),
+    ],
+)
+def test_color_structured_output_golden(
+    tmp_path, monkeypatch, capsys, name, build, t, digest
+):
+    monkeypatch.chdir(tmp_path)  # the envelope echoes the input path
+    save_graph(build(), name)
+    code, out, _ = run(capsys, "color", "--t", t, name, "--format", "structured")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_color_with_explicit_overrides(tmp_path, capsys):
     path = str(tmp_path / "sp.el")
     save_graph(generate(GenSpec("series_parallel", n=12, seed=2)), path)
@@ -215,27 +267,6 @@ def test_search_mindegree_random_mode(capsys):
     payload = json.loads(out)
     summary = [e for e in payload["result"]["entries"] if e.get("status") == "summary"]
     assert summary and summary[0]["samples"] == 5
-
-
-def test_search_mindegree_exhaustive_small(capsys):
-    code, out, _ = run(
-        capsys, "search-mindegree", "--t", "6", "--mode", "exhaustive",
-        "--max-n", "9", "--format", "structured",
-    )
-    assert code == 0
-    payload = json.loads(out)
-    summary = [e for e in payload["result"]["entries"] if e.get("status") == "summary"]
-    # only K9 has minimum degree >= 8 on nine vertices, and it has the minor
-    assert summary[0]["candidates_examined"] == 1
-    assert payload["result"]["counterexamples"] == []
-
-
-def test_search_mindegree_exhaustive_cap(capsys):
-    code, _, err = run(
-        capsys, "search-mindegree", "--t", "6", "--mode", "exhaustive", "--max-n", "10"
-    )
-    assert code == 3
-    assert "n <= 9" in err
 
 
 def test_version_flag(capsys):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 
@@ -131,6 +133,44 @@ def test_replay_rejects_wrong_graph():
     report = color_by_contraction(g, 4, 5, 2)
     with pytest.raises(ValueError):
         replay_trace(other, report.trace, 5, 2)
+
+
+def _tamper_color(trace, g):
+    step = trace.steps[0]
+    trace.steps[0] = replace(step, color=step.color + 1)
+
+
+def _tamper_merged_vertex(trace, g):
+    step = trace.steps[0]
+    trace.steps[0] = replace(step, merged_vertex=step.merged_vertex + 1)
+
+
+def _tamper_base_size(trace, g):
+    trace.base_size += 1
+
+
+def _tamper_dependent_set(trace, g):
+    step = trace.steps[0]
+    nbrs = g.neighbors(step.vertex)
+    edge = next((u, w) for u in nbrs for w in nbrs if g.has_edge(u, w))
+    trace.steps[0] = replace(step, independent_set=frozenset(edge))
+
+
+@pytest.mark.parametrize(
+    "tamper, message",
+    [
+        (_tamper_color, "different trace"),
+        (_tamper_merged_vertex, "different trace"),
+        (_tamper_base_size, "different trace"),
+        (_tamper_dependent_set, "not independent"),
+    ],
+)
+def test_replay_rejects_tampered_trace(tamper, message):
+    g = generate(GenSpec("planar_triangulation", n=12, seed=1))
+    trace = color_by_contraction(g, 4, 5, 2).trace
+    tamper(trace, g)
+    with pytest.raises(ValueError, match=message):
+        replay_trace(g, trace, 5, 2)
 
 
 @given(graphs())
