@@ -95,6 +95,25 @@ def main() -> int:
     claim("the oracle exhibits a valid order-7 witness",
           model is not None and validate_model(g9, model))
 
+    print("reductions before the branch-set search:")
+    grid = Graph(range(16), [(4 * r + c, 4 * r + c + 1) for r in range(4) for c in range(3)]
+                 + [(4 * r + c, 4 * r + c + 4) for r in range(3) for c in range(4)])
+    k5_pairs = [(u, v) for u in range(5) for v in range(u + 1, 5)]
+    subdivided_k5 = Graph(range(15), [e for i, (u, v) in enumerate(k5_pairs)
+                                      for e in ((u, 5 + i), (v, 5 + i))])
+    for label, g, t, expect in (
+        ("stacked triangulation n=20",
+         generate(GenSpec("planar_triangulation", n=20, seed=0)), 5, False),
+        ("4x4 grid", grid, 5, False),
+        ("subdivided K5", subdivided_k5, 5, True),
+    ):
+        model = has_clique_minor(g, t)
+        valid = model is not None and validate_model(g, model)
+        verdict = "found" if model is not None else "none"
+        shown = valid if model is not None else "n/a"
+        claim(f"{label} at t={t}: {verdict}, validate_model: {shown}",
+              (model is not None) == expect and (model is None or valid))
+
     print("coloring across generated families:")
     for t, family, n in ((2, "forest", 25), (3, "series_parallel", 20),
                          (4, "planar_triangulation", 25)):

@@ -37,7 +37,7 @@ from .errors import (
     ParseError,
     ResourceLimitExceeded,
 )
-from .formats import load_graph, save_graph, sha256_of_file, write_edge_list
+from .formats import dense_ids, load_graph, save_graph, sha256_of_file, write_edge_list
 from .generators import (
     GenSpec,
     clique_paste,
@@ -137,14 +137,16 @@ def cmd_color(args) -> int:
             oracle_cap=_resolve_cap(args.cap),
         )
     except MinDegreeExceeded as exc:
+        # the vertex in the ids of the printed (densified) edge list
+        vertex = dense_ids(exc.graph)[exc.vertex]
         result = {
             "error": "min_degree_exceeded",
-            "vertex": exc.vertex,
+            "vertex": vertex,
             "degree": exc.degree,
             "witness_edge_list": write_edge_list(exc.graph),
         }
         text = [
-            f"premise violated: vertex {exc.vertex} has minimum degree "
+            f"premise violated: vertex {vertex} has minimum degree "
             f"{exc.degree} > delta={delta}",
             "witness graph:",
             write_edge_list(exc.graph).rstrip("\n"),
@@ -168,7 +170,7 @@ def cmd_color(args) -> int:
         return EXIT_SHORTFALL
     except MinorAuditFailed as exc:
         # branch sets in the ids of the printed (densified) edge list
-        relabel = {v: i for i, v in enumerate(exc.subgraph.vertices)}
+        relabel = dense_ids(exc.subgraph)
         model = MinorModel(
             tuple(frozenset(relabel[v] for v in s) for s in exc.model.branch_sets)
         )

@@ -121,6 +121,11 @@ def load_graph(path: str | Path, *, max_vertices: int | None = None) -> Graph:
     return parse_graph(Path(path).read_text(), max_vertices=max_vertices)
 
 
+def dense_ids(g: Graph) -> dict[int, int]:
+    """Map each vertex id of g to its id 0..n-1 in write_edge_list output."""
+    return {v: i for i, v in enumerate(g.vertices)}
+
+
 def write_edge_list(g: Graph) -> str:
     """Serialize to the canonical edge-list format.
 
@@ -128,7 +133,7 @@ def write_edge_list(g: Graph) -> str:
     0..n-1; graphs built from files or generators are unaffected since
     their ids are already contiguous.
     """
-    relabel = {v: i for i, v in enumerate(g.vertices)}
+    relabel = dense_ids(g)
     pairs = sorted((relabel[u], relabel[v]) for u, v in g.edges())
     lines = [f"{g.n} {g.m}"]
     lines.extend(f"{u} {v}" for u, v in pairs)

@@ -1,12 +1,34 @@
 """Exact clique-minor testing with verifiable witnesses.
 
 has_clique_minor decides whether a graph contains a complete minor of a
-given order by backtracking over branch sets: a partial list of disjoint
+given order t by backtracking over branch sets: a partial list of disjoint
 connected vertex sets is grown one set at a time, adding only vertices
 adjacent to the growing set, and closed only once the set touches every
 earlier set.  Branch sets are canonicalized by their minimum element
 (seeds strictly increase, members stay above their seed), so every
 candidate family is visited exactly once.
+
+Before the search, two exact rules are applied to a fixpoint:
+
+1. A simplicial vertex (its neighborhood is a clique) of degree < t-1 is
+   deleted.
+2. For t >= 4, a degree-2 vertex whose two neighbors are non-adjacent is
+   merged into one of them, which is the same as deleting it and joining
+   its neighbors by an edge.
+
+Each rule deletes or contracts, so the reduced graph is a minor of the
+input and has no K_t minor the input lacks.  Neither rule loses one: take
+a K_t model of the graph and such a vertex v in a branch set B (a vertex
+in no branch set can simply go).  B must touch t-1 other branch sets, so
+B is not {v} alone: v touches at most deg(v) of them, and deg(v) < t-1
+(rule 1) or deg(v) = 2 < 3 <= t-1 (rule 2).  So dropping v from B keeps B
+connected and keeps every contact B had through v: v has a neighbor left
+in B, and that neighbor is adjacent to each other neighbor of v, because
+the neighbors are pairwise adjacent (rule 1) or the merge adds the edge
+between them (rule 2).  A witness found after reduction is lifted back by
+replaying the merges in reverse: each absorbed vertex joins the branch
+set that holds the vertex it was merged into.  Deleted vertices lie in no
+branch set.
 """
 
 from __future__ import annotations
@@ -15,7 +37,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import ResourceLimitExceeded
-from .graph import Graph, _bits, induced_subgraph
+from .graph import Graph, _bits, _contract, _delete
 
 DEFAULT_SEARCH_CAP = 40
 
@@ -70,7 +92,7 @@ def validate_model(g: Graph, model: MinorModel) -> bool:
             return False
         seen |= mask
     for mask in masks:
-        if not _connected_in(g, mask):
+        if _closure(g._adj, mask & -mask, mask) != mask:
             return False
     for i, mi in enumerate(masks):
         ni = 0
@@ -82,16 +104,18 @@ def validate_model(g: Graph, model: MinorModel) -> bool:
     return True
 
 
-def _connected_in(g: Graph, mask: int) -> bool:
-    seen = mask & -mask
+def _closure(adj: dict[int, int], start: int, within: int) -> int:
+    """The vertices of the mask within reachable from the mask start
+    (a subset of within) along edges inside within."""
+    reach = start
     while True:
-        grown = seen
-        for v in _bits(seen):
-            grown |= g.neighbor_mask(v)
-        grown &= mask
-        if grown == seen:
-            return seen == mask
-        seen = grown
+        grown = reach
+        for v in _bits(reach):
+            grown |= adj[v]
+        grown &= within
+        if grown == reach:
+            return reach
+        reach = grown
 
 
 def edge_count_forces_minor(g: Graph, order: int) -> bool:
@@ -126,31 +150,52 @@ def has_clique_minor(
     if t == 1:
         return MinorModel((frozenset({min(g.vertices)}),))
 
-    h = _reduce(g, t)
+    h, merges = _reduce(g, t)
     if h.n < t:
         return None
 
     clique = _find_clique(h, t)
     if clique is not None:
-        return MinorModel(tuple(frozenset({v}) for v in sorted(clique)))
-
-    masks = _search_branch_sets(h, t)
-    if masks is None:
-        return None
+        masks = [1 << v for v in sorted(clique)]
+    else:
+        masks = _search_branch_sets(h, t)
+        if masks is None:
+            return None
+    for kept, absorbed in reversed(merges):
+        for i, mask in enumerate(masks):
+            if mask >> kept & 1:
+                masks[i] = mask | 1 << absorbed
+                break
     return MinorModel(tuple(frozenset(_bits(mask)) for mask in masks))
 
 
-def _reduce(g: Graph, t: int) -> Graph:
-    """Drop vertices that cannot take part in any valid branch set:
-    isolated vertices always, degree-1 vertices once t >= 3."""
-    h = g
-    while h.n:
-        cutoff = 1 if t >= 3 else 0
-        keep = [v for v in h.vertices if h.degree(v) > cutoff]
-        if len(keep) == h.n:
-            break
-        h = induced_subgraph(h, keep)
-    return h
+def _reduce(g: Graph, t: int) -> tuple[Graph, list[tuple[int, int]]]:
+    """Apply the two exact rules of the module docstring to a fixpoint.
+
+    Returns the reduced graph, which has a K_t minor iff g has one, and
+    the merges in the order made, as (kept id, absorbed id) pairs.  A
+    vertex is rechecked whenever its neighborhood changes, lowest id first.
+    """
+    adj = dict(g._adj)
+    merges = []
+    todo = g.vertex_mask
+    while todo:
+        v = (todo & -todo).bit_length() - 1
+        todo ^= 1 << v
+        nbrs = adj[v]
+        d = nbrs.bit_count()
+        if d >= t - 1:
+            continue
+        if all(nbrs & ~adj[u] == 1 << u for u in _bits(nbrs)):
+            _delete(adj, v)
+            todo |= nbrs
+        elif d == 2 and t >= 4:
+            # not simplicial, so the two neighbors are non-adjacent
+            a = (nbrs & -nbrs).bit_length() - 1
+            kept, absorbed = _contract(adj, 1 << v | 1 << a), max(v, a)
+            merges.append((kept, absorbed))
+            todo = (todo | adj[kept] | 1 << kept) & ~(1 << absorbed)
+    return Graph._from_adj(adj), merges
 
 
 def _find_clique(g: Graph, t: int) -> tuple[int, ...] | None:
@@ -198,20 +243,6 @@ def _search_branch_sets(g: Graph, t: int) -> list[int] | None:
             out |= adj[v]
         return out
 
-    def components_of(mask: int) -> list[int]:
-        comps = []
-        rest = mask
-        while rest:
-            comp = rest & -rest
-            while True:
-                grown = (comp | nbr_of(comp)) & rest
-                if grown == comp:
-                    break
-                comp = grown
-            comps.append(comp)
-            rest &= ~comp
-        return comps
-
     # sets holds (member mask, union-of-neighborhoods mask) per closed set
     def advance(
         sets: list[tuple[int, int]], unassigned: int, prev_seed: int
@@ -229,7 +260,10 @@ def _search_branch_sets(g: Graph, t: int) -> list[int] | None:
         # future sets are pairwise adjacent, so they all live inside one
         # connected component of the available vertices
         seed_pool = 0
-        for comp in components_of(avail):
+        rest = avail
+        while rest:
+            comp = _closure(adj, rest & -rest, rest)
+            rest &= ~comp
             if comp.bit_count() < need:
                 continue
             if all((snbr & comp).bit_count() >= need for _, snbr in sets):

@@ -3,7 +3,14 @@ import json
 
 import pytest
 
-from minorcolor import Graph, MinorModel, load_graph, save_graph, validate_model
+from minorcolor import (
+    Graph,
+    MinorModel,
+    load_graph,
+    min_degree_vertex,
+    save_graph,
+    validate_model,
+)
 from minorcolor.cli import main
 from minorcolor.formats import parse_edge_list
 from minorcolor.generators import GenSpec, clique_paste, generate
@@ -206,6 +213,35 @@ def test_color_min_degree_violation_exit_five(tmp_path, capsys):
     assert code == 5
     assert "witness graph:" in out
     assert "10 45" in out  # witness printed as an edge list
+
+
+@pytest.mark.parametrize("fmt", ["text", "structured"])
+def test_color_min_degree_violation_names_vertex_in_witness_ids(tmp_path, capsys, fmt):
+    # the path is contracted away first, so the K10 left over keeps ids
+    # 5..14 while the printed witness is densified to 0..9
+    edges = [(i, i + 1) for i in range(4)]
+    edges += [(u, v) for u in range(5, 15) for v in range(u + 1, 15)]
+    path = str(tmp_path / "path_k10.el")
+    save_graph(Graph(range(15), edges), path)
+    code, out, _ = run(
+        capsys, "color", "--t", "6", "--mode", "conjectured", path, "--format", fmt
+    )
+    assert code == 5
+    if fmt == "structured":
+        result = json.loads(out)["result"]
+        vertex, degree = result["vertex"], result["degree"]
+        witness = parse_edge_list(result["witness_edge_list"])
+    else:
+        head, _, listing = out.partition("witness graph:\n")
+        words = head.split()
+        vertex = int(words[words.index("vertex") + 1])
+        degree = int(words[words.index("degree") + 1])
+        witness = parse_edge_list(listing)
+    assert witness.has_vertex(vertex)
+    assert witness.degree(vertex) == degree == 9
+    # the descent picks min degree, then the smallest id, and densifying
+    # keeps the id order, so the same pick must come out of the witness
+    assert min_degree_vertex(witness) == (vertex, degree)
 
 
 def test_color_independence_shortfall_exit_six(tmp_path, capsys):

@@ -169,6 +169,56 @@ def test_pendant_and_isolated_vertices_do_not_change_answer():
             ), (edges, t)
 
 
+@given(graphs(max_n=7), st.integers(4, 6), st.randoms(use_true_random=False))
+@settings(max_examples=120, deadline=None)
+def test_simplicial_vertex_and_subdivision_do_not_change_answer(g, t, rng):
+    # vertex n joins a random clique of size < t-1 (so it is simplicial and
+    # the reduction deletes it); vertex n+1 subdivides a random edge (so it
+    # has degree 2 with non-adjacent neighbors and the reduction merges it)
+    n = g.n
+    clique, pool = [], list(g.vertices)
+    size = rng.randrange(t - 1)
+    while pool and len(clique) < size:
+        u = rng.choice(pool)
+        clique.append(u)
+        pool = [w for w in pool if w != u and g.has_edge(u, w)]
+    edges = g.edges() + [(u, n) for u in clique]
+    if edges:
+        u, v = edges.pop(rng.randrange(len(edges)))
+        edges += [(u, n + 1), (v, n + 1)]
+    decorated = Graph(range(n + 2), edges)
+    model = has_clique_minor(decorated, t)
+    assert (model is not None) == brute_force_has_minor(g, t)
+    if model is not None:
+        assert validate_model(decorated, model)
+
+
+def _subdivided_clique(k: int) -> Graph:
+    """K_k with every edge replaced by a path of length two."""
+    pairs = [(u, v) for u in range(k) for v in range(u + 1, k)]
+    edges = []
+    for i, (u, v) in enumerate(pairs):
+        edges += [(u, k + i), (v, k + i)]
+    return Graph(range(k + len(pairs)), edges)
+
+
+@pytest.mark.parametrize("k", [5, 6])
+def test_subdivided_clique_witness_lifts_through_merges(k):
+    g = _subdivided_clique(k)
+    model = has_clique_minor(g, k)
+    assert model is not None
+    assert validate_model(g, model)
+    assert has_clique_minor(g, k + 1) is None
+
+
+@pytest.mark.parametrize("n", [20, 60])
+def test_stacked_triangulation_has_no_k5_minor(n):
+    # planar, and built from 3-clique-sums of K4s, so simplicial deletion
+    # alone takes it apart
+    tri = generate(GenSpec("planar_triangulation", n=n, seed=0))
+    assert has_clique_minor(tri, 5, cap=n) is None
+
+
 def test_neighborhoods_of_minor_free_graphs_drop_one_order():
     # if g has no order-(t+1) minor, each neighborhood graph has no order-t
     block = complete_multipartite((2, 2, 2, 2, 2))
