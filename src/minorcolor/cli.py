@@ -2,15 +2,17 @@
 
 Subcommands: color, check-minor, alpha, bounds-table, gen,
 search-mindegree.  Input graphs are edge-list or DIMACS .col files.
-Reports go to stdout as text, or as JSON with --format structured; the
-structured envelope always carries the tool version, the echoed run
-configuration, and the input file hash, so identical runs are
-byte-identical.
+Each ``cmd_*`` returns ``(exit_code, config, result, text)`` and prints
+nothing; ``main`` prints the one report: the text lines, or with
+--format structured a JSON envelope carrying the tool version, the
+command, the echoed run configuration, the input file hash and the
+result, so identical runs are byte-identical.  ``main`` also maps every
+error to its exit code, with a one-line message on stderr.
 
 Exit codes:
   0  success (including "no minor" / "no counterexample")
   2  command-line usage error
-  3  unreadable or invalid input
+  3  unreadable or invalid input (missing file, directory, malformed graph)
   4  exact search above its size cap
   5  minimum-degree premise violated (witness printed)
   6  independence guarantee violated (witness printed)
@@ -24,6 +26,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 from typing import Iterator
 
 from . import __version__
@@ -65,28 +68,15 @@ EXIT_AUDIT = 8
 
 ORACLE_CAP_ENV = "MINORCOLOR_ORACLE_CAP"
 
+# (exit code, echoed configuration, result, text lines) of one command
+Report = tuple[int, dict, dict, list[str]]
+
 
 def _resolve_cap(value: int | None) -> int:
     if value is not None:
         return value
     env = os.environ.get(ORACLE_CAP_ENV)
     return int(env) if env else DEFAULT_SEARCH_CAP
-
-
-def _emit(args, command: str, config: dict, result: dict, text: list[str]) -> None:
-    if args.format == "structured":
-        envelope = {
-            "tool": "minorcolor",
-            "version": __version__,
-            "command": command,
-            "config": config,
-            "input_sha256": config.get("input_sha256"),
-            "result": result,
-        }
-        print(json.dumps(envelope, sort_keys=True, indent=2))
-    else:
-        for line in text:
-            print(line)
 
 
 def _parse_parts(raw: str) -> tuple[int, ...]:
@@ -106,7 +96,48 @@ def _parse_blocks(raw: str) -> tuple[tuple[int, ...], ...]:
 # ---------------------------------------------------------------- color
 
 
-def cmd_color(args) -> int:
+def _finding(exc: MinorColorError, config: dict) -> tuple[int, dict, list[str]]:
+    """Exit code, result and text of a premise violation found by color.
+
+    The witness graph is printed as a densified edge list, and the vertex
+    ids in the report (the min-degree vertex, the branch sets) are the ids
+    of that list.
+    """
+    tail: list[str] = []
+    if isinstance(exc, MinDegreeExceeded):
+        code, witness = EXIT_MIN_DEGREE, exc.graph
+        vertex = dense_ids(witness)[exc.vertex]
+        result = {"error": "min_degree_exceeded", "vertex": vertex, "degree": exc.degree}
+        text = [
+            f"premise violated: vertex {vertex} has minimum degree "
+            f"{exc.degree} > delta={config['delta']}",
+            "witness graph:",
+        ]
+    elif isinstance(exc, IndependenceShortfall):
+        code, witness = EXIT_SHORTFALL, exc.subgraph
+        result = {"error": "independence_shortfall", "found": exc.found, "required": exc.required}
+        text = [
+            f"premise violated: neighborhood graph has maximum independent set "
+            f"{exc.found} < required {exc.required}",
+            "witness neighborhood graph:",
+        ]
+    else:
+        code, witness = EXIT_AUDIT, exc.subgraph
+        relabel = dense_ids(witness)
+        model = MinorModel(
+            tuple(frozenset(relabel[v] for v in s) for s in exc.model.branch_sets)
+        )
+        result = {"error": "minor_audit_failed", "witness": [sorted(s) for s in model.branch_sets]}
+        text = [
+            f"premise violated: a neighborhood graph has a K{config['t']} minor",
+            "witness neighborhood graph:",
+        ]
+        tail = ["branch sets:", *model.to_lines()]
+    result["witness_edge_list"] = write_edge_list(witness)
+    return code, result, [*text, result["witness_edge_list"].rstrip("\n"), *tail]
+
+
+def cmd_color(args) -> Report:
     if (args.delta is None) != (args.alpha is None):
         raise ValueError("--delta and --alpha must be given together")
     if args.delta is not None and args.mode == "conjectured":
@@ -129,66 +160,13 @@ def cmd_color(args) -> int:
     }
     try:
         report = color_by_contraction(
-            g,
-            args.t,
-            delta,
-            alpha,
-            audit=args.audit,
-            oracle_cap=_resolve_cap(args.cap),
+            g, args.t, delta, alpha, audit=args.audit, oracle_cap=config["cap"]
         )
-    except MinDegreeExceeded as exc:
-        # the vertex in the ids of the printed (densified) edge list
-        vertex = dense_ids(exc.graph)[exc.vertex]
-        result = {
-            "error": "min_degree_exceeded",
-            "vertex": vertex,
-            "degree": exc.degree,
-            "witness_edge_list": write_edge_list(exc.graph),
-        }
-        text = [
-            f"premise violated: vertex {vertex} has minimum degree "
-            f"{exc.degree} > delta={delta}",
-            "witness graph:",
-            write_edge_list(exc.graph).rstrip("\n"),
-        ]
-        _emit(args, "color", config, result, text)
-        return EXIT_MIN_DEGREE
-    except IndependenceShortfall as exc:
-        result = {
-            "error": "independence_shortfall",
-            "found": exc.found,
-            "required": exc.required,
-            "witness_edge_list": write_edge_list(exc.subgraph),
-        }
-        text = [
-            f"premise violated: neighborhood graph has maximum independent set "
-            f"{exc.found} < required {exc.required}",
-            "witness neighborhood graph:",
-            write_edge_list(exc.subgraph).rstrip("\n"),
-        ]
-        _emit(args, "color", config, result, text)
-        return EXIT_SHORTFALL
-    except MinorAuditFailed as exc:
-        # branch sets in the ids of the printed (densified) edge list
-        relabel = dense_ids(exc.subgraph)
-        model = MinorModel(
-            tuple(frozenset(relabel[v] for v in s) for s in exc.model.branch_sets)
-        )
-        result = {
-            "error": "minor_audit_failed",
-            "witness": [sorted(s) for s in model.branch_sets],
-            "witness_edge_list": write_edge_list(exc.subgraph),
-        }
-        text = [
-            f"premise violated: a neighborhood graph has a K{args.t} minor",
-            "witness neighborhood graph:",
-            write_edge_list(exc.subgraph).rstrip("\n"),
-            "branch sets:",
-            *model.to_lines(),
-        ]
-        _emit(args, "color", config, result, text)
-        return EXIT_AUDIT
+    except (MinDegreeExceeded, IndependenceShortfall, MinorAuditFailed) as exc:
+        code, result, text = _finding(exc, config)
+        return code, config, result, text
 
+    assignment = sorted(report.coloring.assignment.items())
     result = {
         "n": g.n,
         "m": g.m,
@@ -197,7 +175,7 @@ def cmd_color(args) -> int:
         "delta": report.delta_used,
         "alpha": report.alpha_used,
         "proper": report.proper,
-        "coloring": {str(v): c for v, c in sorted(report.coloring.assignment.items())},
+        "coloring": {str(v): c for v, c in assignment},
         "trace": {
             "base_size": report.trace.base_size,
             "steps": [
@@ -216,18 +194,15 @@ def cmd_color(args) -> int:
         f"colored {g.n} vertices / {g.m} edges with {report.colors_used} colors "
         f"(palette bound {report.palette_bound}, delta={delta}, alpha={alpha})",
         f"proper: {report.proper}",
+        *(f"{v} {c}" for v, c in assignment),
     ]
-    text.extend(
-        f"{v} {c}" for v, c in sorted(report.coloring.assignment.items())
-    )
-    _emit(args, "color", config, result, text)
-    return EXIT_OK
+    return EXIT_OK, config, result, text
 
 
 # ---------------------------------------------------------- check-minor
 
 
-def cmd_check_minor(args) -> int:
+def cmd_check_minor(args) -> Report:
     g = load_graph(args.path)
     cap = _resolve_cap(args.cap)
     config = {
@@ -246,20 +221,18 @@ def cmd_check_minor(args) -> int:
         "edge_count_forces": forced,
     }
     if model is not None:
-        text = [f"K{args.t} minor: FOUND"]
-        text.extend(model.to_lines())
+        text = [f"K{args.t} minor: FOUND", *model.to_lines()]
     else:
         text = [f"K{args.t} minor: none (exact search, n={g.n})"]
     if forced is not None:
         text.append(f"edge count alone forces the minor: {forced}")
-    _emit(args, "check-minor", config, result, text)
-    return EXIT_OK
+    return EXIT_OK, config, result, text
 
 
 # ------------------------------------------------------------------ alpha
 
 
-def cmd_alpha(args) -> int:
+def cmd_alpha(args) -> Report:
     config = {"n": args.n, "t": args.t}
     variants = {}
     for variant in ("a", "b", "c"):
@@ -274,39 +247,16 @@ def cmd_alpha(args) -> int:
         shown = value if value is not None else "n/a (needs t >= 5)"
         text.append(f"  variant {variant}: {shown}")
     text.append(f"  best: {best}")
-    _emit(args, "alpha", config, result, text)
-    return EXIT_OK
+    return EXIT_OK, config, result, text
 
 
 # ----------------------------------------------------------- bounds-table
 
 
-def _row_payload(row) -> dict:
-    return {
-        "t": row.t,
-        "delta": row.delta,
-        "alpha": row.alpha,
-        "chi_bound": row.chi_bound,
-        "delta_provenance": row.delta_provenance,
-        "edge_bound": (
-            {
-                "coeff": row.edge_bound.coeff,
-                "const": row.edge_bound.const,
-                "min_vertices": row.edge_bound.min_vertices,
-            }
-            if row.edge_bound
-            else None
-        ),
-        "best_known_chi": row.best_known_chi,
-        "hadwiger_target": row.hadwiger_target,
-    }
-
-
-def cmd_bounds_table(args) -> int:
+def cmd_bounds_table(args) -> Report:
     mode = "conjectured" if args.conjectured else "proven"
     rows = full_table(mode)
-    config = {"mode": mode}
-    result = {"rows": [_row_payload(r) for r in rows]}
+    result = {"rows": [asdict(r) for r in rows]}
     text = [f"{'t':>3} {'delta':>6} {'alpha':>6} {'chi':>4}  {'edges':<18} {'best known':<10}"]
     for r in rows:
         eb = (
@@ -320,14 +270,13 @@ def cmd_bounds_table(args) -> int:
         )
     if mode == "conjectured":
         text.append("(minimum-degree values are conjectured, not proven)")
-    _emit(args, "bounds-table", config, result, text)
-    return EXIT_OK
+    return EXIT_OK, {"mode": mode}, result, text
 
 
 # -------------------------------------------------------------------- gen
 
 
-def cmd_gen(args) -> int:
+def cmd_gen(args) -> Report:
     spec = GenSpec(
         family=args.family,
         n=args.n,
@@ -341,30 +290,22 @@ def cmd_gen(args) -> int:
     )
     g = generate(spec)
     save_graph(g, args.out)
+    # the sidecar leaves out the oracle cap: it can make gen fail, never
+    # change the graph
+    spec_echo = asdict(spec)
+    del spec_echo["oracle_cap"]
     meta = {
         "tool": "minorcolor",
         "version": __version__,
-        "spec": {
-            "family": spec.family,
-            "n": spec.n,
-            "seed": spec.seed,
-            "parts": list(spec.parts) if spec.parts else None,
-            "blocks": [list(b) for b in spec.blocks] if spec.blocks else None,
-            "clique_size": spec.clique_size,
-            "forbid": spec.forbid,
-            "max_rejects": spec.max_rejects,
-        },
+        "spec": spec_echo,
         "result": {"n": g.n, "m": g.m, "sha256": sha256_of_file(args.out)},
     }
     meta_path = args.out + ".meta.json"
     with open(meta_path, "w") as fh:
         json.dump(meta, fh, sort_keys=True, indent=2)
         fh.write("\n")
-    config = {"out": args.out, "meta": meta_path}
-    result = meta
     text = [f"wrote {args.out} (family={spec.family}, n={g.n}, m={g.m})", f"meta: {meta_path}"]
-    _emit(args, "gen", config, result, text)
-    return EXIT_OK
+    return EXIT_OK, {"out": args.out, "meta": meta_path}, meta, text
 
 
 # ------------------------------------------------------- search-mindegree
@@ -395,7 +336,7 @@ def _conjecture_corpus(t: int, seed: int) -> Iterator[tuple[str, Graph, int, str
         raise ValueError("conjecture search supports t in {6, 7, 8}")
 
 
-def cmd_search_mindegree(args) -> int:
+def cmd_search_mindegree(args) -> Report:
     t = args.t
     conjectured_delta = table_row(t, "conjectured").delta
     cap = _resolve_cap(args.cap)
@@ -491,8 +432,8 @@ def cmd_search_mindegree(args) -> int:
         text.append(ce["edge_list"].rstrip("\n"))
     if not counterexamples:
         text.append("no counterexample found")
-    _emit(args, "search-mindegree", config, result, text)
-    return EXIT_COUNTEREXAMPLE if counterexamples else EXIT_OK
+    code = EXIT_COUNTEREXAMPLE if counterexamples else EXIT_OK
+    return code, config, result, text
 
 
 # ------------------------------------------------------------------- main
@@ -514,25 +455,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=int, help="override the independence guarantee")
     p.add_argument("--audit", action="store_true", help="verify neighborhood minor-freeness")
     p.add_argument("--cap", type=int)
-    p.add_argument("--format", choices=("text", "structured"), default="text")
     p.set_defaults(func=cmd_color)
 
     p = sub.add_parser("check-minor", help="exact clique-minor test with witness")
     p.add_argument("path")
     p.add_argument("--t", type=int, required=True, help="clique minor order to look for")
     p.add_argument("--cap", type=int)
-    p.add_argument("--format", choices=("text", "structured"), default="text")
     p.set_defaults(func=cmd_check_minor)
 
     p = sub.add_parser("alpha", help="independence guarantees for (n, t)")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--t", type=int, required=True)
-    p.add_argument("--format", choices=("text", "structured"), default="text")
     p.set_defaults(func=cmd_alpha)
 
     p = sub.add_parser("bounds-table", help="per-order bound table")
     p.add_argument("--conjectured", action="store_true")
-    p.add_argument("--format", choices=("text", "structured"), default="text")
     p.set_defaults(func=cmd_bounds_table)
 
     p = sub.add_parser("gen", help="generate a certified minor-free graph")
@@ -546,7 +483,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-rejects", type=int, default=30, dest="max_rejects")
     p.add_argument("--cap", type=int)
     p.add_argument("--out", required=True)
-    p.add_argument("--format", choices=("text", "structured"), default="text")
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("search-mindegree", help="probe the minimum-degree conjectures")
@@ -557,29 +493,40 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int, default=12, dest="n_max")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--cap", type=int)
-    p.add_argument("--format", choices=("text", "structured"), default="text")
     p.set_defaults(func=cmd_search_mindegree)
 
+    # declared last on every subcommand, so it stays last in each usage line
+    for p in sub.choices.values():
+        p.add_argument("--format", choices=("text", "structured"), default="text")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        code, config, result, text = args.func(args)
     except ResourceLimitExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except ValueError as exc:
+    except (ParseError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except MinorColorError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    if args.format == "structured":
+        envelope = {
+            "tool": "minorcolor",
+            "version": __version__,
+            "command": args.command,
+            "config": config,
+            "input_sha256": config.get("input_sha256"),
+            "result": result,
+        }
+        print(json.dumps(envelope, sort_keys=True, indent=2))
+    else:
+        print(*text, sep="\n")
+    return code
 
 
 if __name__ == "__main__":

@@ -6,7 +6,9 @@ Two text formats are understood:
   with 0-based vertex ids.  This is the canonical output format; writers
   emit edges ascending as (u, v) with u < v.
 * DIMACS ``.col``: ``c`` comment lines, one ``p edge n m`` line, then
-  ``e u v`` lines with 1-based ids.  Accepted on read and converted.
+  exactly m ``e u v`` lines with 1-based ids.  Accepted on read and
+  converted; an edge given twice (in either order) counts towards m but
+  is kept once.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from .errors import ParseError
 from .graph import Graph
 
 
-def parse_edge_list(text: str, *, max_vertices: int | None = None) -> Graph:
+def parse_edge_list(text: str) -> Graph:
     lines = text.splitlines()
     header_idx = None
     for i, line in enumerate(lines):
@@ -61,12 +63,12 @@ def parse_edge_list(text: str, *, max_vertices: int | None = None) -> Graph:
         edges.append(key)
     if len(edges) != m:
         raise ParseError(f"header promised {m} edges but {len(edges)} were given")
-    cap = max_vertices if max_vertices is not None else max(64, n)
-    return Graph(range(n), edges, max_vertices=cap)
+    return Graph(range(n), edges, max_vertices=max(64, n))
 
 
-def parse_dimacs(text: str, *, max_vertices: int | None = None) -> Graph:
-    n = None
+def parse_dimacs(text: str) -> Graph:
+    n = m = None
+    given = 0
     edges: set[tuple[int, int]] = set()
     for i, raw in enumerate(text.splitlines()):
         line = raw.strip()
@@ -79,7 +81,7 @@ def parse_dimacs(text: str, *, max_vertices: int | None = None) -> Graph:
             if len(parts) != 4 or parts[1] not in ("edge", "col"):
                 raise ParseError(f"malformed problem line {line!r}", line=i + 1)
             try:
-                n = int(parts[2])
+                n, m = int(parts[2]), int(parts[3])
             except ValueError:
                 raise ParseError(f"malformed problem line {line!r}", line=i + 1) from None
         elif parts[0] == "e":
@@ -96,15 +98,17 @@ def parse_dimacs(text: str, *, max_vertices: int | None = None) -> Graph:
             if not (0 <= u < n and 0 <= v < n):
                 raise ParseError(f"edge outside vertex range 1..{n}", line=i + 1)
             edges.add((min(u, v), max(u, v)))
+            given += 1
         else:
             raise ParseError(f"unrecognized line {line!r}", line=i + 1)
     if n is None:
         raise ParseError("missing problem line")
-    cap = max_vertices if max_vertices is not None else max(64, n)
-    return Graph(range(n), sorted(edges), max_vertices=cap)
+    if given != m:
+        raise ParseError(f"header promised {m} edges but {given} were given")
+    return Graph(range(n), sorted(edges), max_vertices=max(64, n))
 
 
-def parse_graph(text: str, *, max_vertices: int | None = None) -> Graph:
+def parse_graph(text: str) -> Graph:
     """Auto-detect the format: DIMACS if the first content line starts with
     'c' or 'p', edge list otherwise."""
     for raw in text.splitlines():
@@ -112,13 +116,13 @@ def parse_graph(text: str, *, max_vertices: int | None = None) -> Graph:
         if not line:
             continue
         if line[0] in ("c", "p"):
-            return parse_dimacs(text, max_vertices=max_vertices)
-        return parse_edge_list(text, max_vertices=max_vertices)
+            return parse_dimacs(text)
+        return parse_edge_list(text)
     raise ParseError("empty input")
 
 
-def load_graph(path: str | Path, *, max_vertices: int | None = None) -> Graph:
-    return parse_graph(Path(path).read_text(), max_vertices=max_vertices)
+def load_graph(path: str | Path) -> Graph:
+    return parse_graph(Path(path).read_text())
 
 
 def dense_ids(g: Graph) -> dict[int, int]:

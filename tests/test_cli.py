@@ -309,3 +309,166 @@ def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+
+
+# Golden sha256 of stdout plus the exit code for one invocation of every
+# subcommand, both formats, and every finding exit code of `color`. The
+# inputs are written into the working directory, so the echoed paths are
+# relative and the digests do not depend on where the suite runs.
+GOLDEN_INPUTS = {
+    "tri14.el": lambda: generate(GenSpec("planar_triangulation", n=14, seed=2)),
+    "k4.el": lambda: Graph.complete(4),
+    "k8.el": lambda: Graph.complete(8),
+    "k10.el": lambda: Graph.complete(10),
+    "petersen.el": petersen,
+}
+
+GOLDEN_CASES = [
+    (
+        "color-text",
+        ("color", "--t", "4", "tri14.el"),
+        0,
+        "13b0bb9cf6c44146a21522a6d505149dc100bbd64f15f830d757bad4accb07f6",
+    ),
+    (
+        "color-min-degree-text",
+        ("color", "--t", "6", "--mode", "conjectured", "k10.el"),
+        5,
+        "3bbe0c8448e1a38ea57a4b5b6f0c4f07033b97ea116132d7f2a5a2522bdcb05d",
+    ),
+    (
+        "color-shortfall-text",
+        ("color", "--t", "3", "--delta", "3", "--alpha", "3", "k4.el"),
+        6,
+        "36b49747306a439e4862644123b3eb96ca0c789333eb19cd40c672e4729f89b0",
+    ),
+    (
+        "color-audit-text",
+        ("color", "--t", "6", "--delta", "9", "--alpha", "2", "--audit", "k8.el"),
+        8,
+        "7caa798f176fe7da3257224bc6847257914b2658b560ecd79e205a2f2e1e5f6d",
+    ),
+    (
+        "color-shortfall-structured",
+        ("color", "--t", "3", "--delta", "3", "--alpha", "3", "k4.el",
+         "--format", "structured"),
+        6,
+        "25bb072b359493bf562ed992e2feac13416c805d61857472c50311ea4ed6c714",
+    ),
+    (
+        "check-minor-found-text",
+        ("check-minor", "--t", "5", "petersen.el"),
+        0,
+        "99372b698b50928805a00f626ab550740c33e49fa3cd7897ca6a59f03eb9d73d",
+    ),
+    (
+        "check-minor-none-text",
+        ("check-minor", "--t", "6", "petersen.el"),
+        0,
+        "b047b6230ce1ad5728a92ad49e338b9d57bfe3dbba5d99d0bff54854353ddfc8",
+    ),
+    (
+        "check-minor-found-structured",
+        ("check-minor", "--t", "5", "petersen.el", "--format", "structured"),
+        0,
+        "6a410f75e6bc06a0e0bc1d0611b3ff867382e456788263bc0e787504d99386f2",
+    ),
+    (
+        "check-minor-none-structured",
+        ("check-minor", "--t", "6", "petersen.el", "--format", "structured"),
+        0,
+        "d2867c790748a8f0e198adb9a5e5ff9dd149a8612bae9772faeb9fc3422f3eb2",
+    ),
+    (
+        "alpha-text",
+        ("alpha", "--n", "10", "--t", "4"),
+        0,
+        "915ce015e7dd24e1ccbaf6dcc650bdb28b1dfaad60064642749535a7f058f2ac",
+    ),
+    (
+        "alpha-structured",
+        ("alpha", "--n", "10", "--t", "4", "--format", "structured"),
+        0,
+        "b29f983d8493ca865e5e1f99538d399ced25356a6d4b31b4527f1413339e9f74",
+    ),
+    (
+        "bounds-table-conjectured-text",
+        ("bounds-table", "--conjectured"),
+        0,
+        "303bfdbcfd5f81192395c2899bf40263c02383258b574c65a906b40c5824edfa",
+    ),
+    (
+        "bounds-table-structured",
+        ("bounds-table", "--format", "structured"),
+        0,
+        "6e070744ebf1e9ca36a823483acb1521081d9529e1e98ad1e12aefd8383aa911",
+    ),
+    (
+        "gen-text",
+        ("gen", "--family", "planar_triangulation", "--n", "12", "--seed", "4",
+         "--out", "tri.el"),
+        0,
+        "7f239d212137e40428b09ece8c253278ce2fd5fecb6a829dd3198b9cd7fe4f6e",
+    ),
+    (
+        "gen-paste-structured",
+        ("gen", "--family", "clique_paste", "--blocks", "2,2,2;1,2,2",
+         "--clique-size", "3", "--seed", "1", "--out", "paste.el",
+         "--format", "structured"),
+        0,
+        "7169f01e58df5e3e1e5f6df6e48127387961d3df160b3b3a6d2bd8ec88bdd8f5",
+    ),
+    (
+        "search-mindegree-text",
+        ("search-mindegree", "--t", "7"),
+        0,
+        "01e07958208c9b60f4b696c272f7df96c768678155f3a76149acf61c98f04b78",
+    ),
+    (
+        "search-mindegree-structured",
+        ("search-mindegree", "--t", "7", "--format", "structured"),
+        0,
+        "23627c64670b01adbc83780612e75c1689d6e9f84ebde301ea5658445d7f4376",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, code, digest",
+    [case[1:] for case in GOLDEN_CASES],
+    ids=[case[0] for case in GOLDEN_CASES],
+)
+def test_cli_stdout_golden(tmp_path, monkeypatch, capsys, argv, code, digest):
+    monkeypatch.chdir(tmp_path)
+    for name, build in GOLDEN_INPUTS.items():
+        save_graph(build(), name)
+    got_code, out, _ = run(capsys, *argv)
+    assert got_code == code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("color", "--t", "4", "nope.el"),
+        ("check-minor", "--t", "3", "a_directory"),
+        ("gen", "--family", "forest", "--n", "5", "--out", "missing_dir/x.el"),
+    ],
+    ids=["missing-input", "directory-input", "missing-output-dir"],
+)
+def test_unreadable_path_exit_three(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "a_directory").mkdir()
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_dimacs_edge_count_mismatch_exit_three(tmp_path, capsys):
+    path = tmp_path / "short.col"
+    path.write_text("p edge 4 6\ne 1 2\ne 1 3\n")
+    code, out, err = run(capsys, "check-minor", "--t", "3", str(path))
+    assert code == 3
+    assert out == ""
+    assert "header promised 6 edges but 2 were given" in err

@@ -70,3 +70,15 @@ def test_dimacs_needs_problem_line():
 def test_empty_input():
     with pytest.raises(ParseError):
         parse_graph("   \n\n")
+
+
+def test_dimacs_rejects_non_integer_edge_count():
+    with pytest.raises(ParseError) as err:
+        parse_dimacs("p edge 3 x\ne 1 2\n")
+    assert err.value.line == 1
+
+
+@pytest.mark.parametrize("count", ["1", "3"])
+def test_dimacs_rejects_edge_count_mismatch(count):
+    with pytest.raises(ParseError, match=f"header promised {count} edges but 2 were given"):
+        parse_dimacs(f"p edge 3 {count}\ne 1 2\ne 2 3\n")
