@@ -36,9 +36,6 @@ class EdgeBound:
     const: int
     min_vertices: int
 
-    def max_edges(self, n: int) -> int:
-        return self.coeff * n - self.const
-
 
 @dataclass(frozen=True)
 class BoundRow:

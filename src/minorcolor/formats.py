@@ -84,6 +84,8 @@ def parse_dimacs(text: str) -> Graph:
                 n, m = int(parts[2]), int(parts[3])
             except ValueError:
                 raise ParseError(f"malformed problem line {line!r}", line=i + 1) from None
+            if n < 0 or m < 0:
+                raise ParseError("negative counts in header", line=i + 1)
         elif parts[0] == "e":
             if n is None:
                 raise ParseError("edge line before problem line", line=i + 1)

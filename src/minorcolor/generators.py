@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .graph import Graph
+from .graph import Graph, _bits
 from .minor import _cliques, has_clique_minor
 
 
@@ -180,29 +180,25 @@ def clique_paste(
     if not blocks:
         raise ValueError("need at least one block")
     rng = random.Random(seed)
-    g = complete_multipartite(blocks[0])
-    if next(_cliques(g, k), None) is None:
+    adj = dict(complete_multipartite(blocks[0])._adj)
+    if next(_cliques(adj, k), None) is None:
         raise ValueError(f"block {blocks[0]} has no {k}-clique to paste on")
     for parts in blocks[1:]:
-        block = complete_multipartite(parts)
+        block = complete_multipartite(parts)._adj
         block_cliques = list(_cliques(block, k))
         if not block_cliques:
             raise ValueError(f"block {parts} has no {k}-clique to paste on")
-        host_cliques = list(_cliques(g, k))
+        host_cliques = list(_cliques(adj, k))
         host_clique = host_cliques[rng.randrange(len(host_cliques))]
         block_clique = block_cliques[rng.randrange(len(block_cliques))]
         relabel = dict(zip(block_clique, host_clique))
-        fresh = g.n
-        for v in block.vertices:
+        for v in block:
             if v not in relabel:
-                relabel[v] = fresh
-                fresh += 1
-        edges = set(g.edges())
-        for u, v in block.edges():
-            ru, rv = relabel[u], relabel[v]
-            edges.add((min(ru, rv), max(ru, rv)))
-        g = Graph(range(fresh), sorted(edges), max_vertices=max(64, fresh))
-    return g
+                relabel[v] = len(adj)
+                adj[relabel[v]] = 0
+        for v, mask in block.items():
+            adj[relabel[v]] |= sum(1 << relabel[u] for u in _bits(mask))
+    return Graph._from_adj(adj)
 
 
 def filtered_random(
@@ -217,24 +213,24 @@ def filtered_random(
     oracle says creates the forbidden minor; stop after max_rejects
     consecutive rejections (edge-maximal-ish instances)."""
     rng = random.Random(seed)
-    edges: set[tuple[int, int]] = set()
-    g = Graph(range(n), max_vertices=max(64, n))
+    adj = {v: 0 for v in range(n)}
     rejections = 0
     while rejections < max_rejects:
         non_edges = [
             (u, v)
             for u in range(n)
             for v in range(u + 1, n)
-            if (u, v) not in edges
+            if not adj[u] >> v & 1
         ]
         if not non_edges:
             break
-        candidate = non_edges[rng.randrange(len(non_edges))]
-        attempt = Graph(range(n), sorted(edges | {candidate}), max_vertices=max(64, n))
-        if has_clique_minor(attempt, forbid, cap=oracle_cap) is None:
-            edges.add(candidate)
-            g = attempt
+        u, v = non_edges[rng.randrange(len(non_edges))]
+        trial = dict(adj)
+        trial[u] |= 1 << v
+        trial[v] |= 1 << u
+        if has_clique_minor(Graph._from_adj(trial), forbid, cap=oracle_cap) is None:
+            adj = trial
             rejections = 0
         else:
             rejections += 1
-    return g
+    return Graph._from_adj(adj)

@@ -1,10 +1,17 @@
 """Simple undirected graphs over small integer vertex ids.
 
-Adjacency is stored as one bitmask per vertex, which keeps the exact
-searches elsewhere in the package fast.  Graphs are value-semantic:
-every operation returns a new graph, so recursive algorithms and
-backtracking searches can keep cheap snapshots.  Vertex ids are stable:
-induced subgraphs and contractions never relabel surviving vertices.
+Adjacency is stored as one bitmask per vertex, in a {vertex: neighbor
+mask} dict with ascending keys.  A Graph is immutable.  The exact searches
+and the generators take that dict once, at their public entry point, and
+work on it directly or on a copy changed through the in-place helpers at
+the end of this module.  Vertex ids are stable: induced subgraphs and
+contractions never relabel surviving vertices.
+
+induced_subgraph, without_vertex and contract_set are copying wrappers
+over those helpers that only callers outside the package use, and the
+`search-mindegree` command is the one caller of min_degree_vertex.  All
+four stay: they are exported API, and the benchmark's per-layer tracer
+(bench/tracing.py) wraps each of them by name.
 """
 
 from __future__ import annotations

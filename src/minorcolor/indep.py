@@ -7,17 +7,19 @@ n-vertex graph with no complete minor of order t+1:
     (b)  (2*alpha - 1) * (2t - 5) >= 2n - 5    (t >= 5)
     (c)  (2 - gamma) * alpha * t  >= n
 
-with gamma = (80 - sqrt(5392)) / 126, approximately 0.052141.  Variants
-(a) and (b) are solved in integer arithmetic; (c) uses a rational
-interval enclosure of gamma that is widened until the ceiling is
-unambiguous, so no floating-point rounding can shift the result.
+with gamma = (80 - sqrt(5392)) / 126, approximately 0.052141.  All three
+are solved in integer arithmetic, so no rounding can shift the result.
+For (c), 1 / (2 - gamma) = (172 - sqrt(5392)) / 192, so alpha is the
+ceiling of (172n - n*sqrt(5392)) / (192t).  For n >= 1, n*sqrt(5392) =
+4n*sqrt(337) is irrational and lies strictly between s = isqrt(5392 n^2)
+and s + 1, so no integer lies between the numerator and 172n - s, and
+the ceiling equals that of (172n - s) / (192t).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import ResourceLimitExceeded
 from .graph import Graph, _bits
@@ -38,19 +40,6 @@ def gamma_constant() -> float:
     return (80.0 - math.sqrt(5392.0)) / 126.0
 
 
-def _gamma_enclosure(digits: int) -> tuple[Fraction, Fraction]:
-    """Rational lo <= gamma <= hi with hi - lo about 10**-digits."""
-    scale = 10**digits
-    root_lo = math.isqrt(5392 * scale * scale)
-    sqrt_lo = Fraction(root_lo, scale)
-    sqrt_hi = Fraction(root_lo + 1, scale)
-    return (80 - sqrt_hi) / 126, (80 - sqrt_lo) / 126
-
-
-def _ceil_frac(x: Fraction) -> int:
-    return -((-x.numerator) // x.denominator)
-
-
 def independence_guarantee(n: int, t: int, variant: str) -> AlphaBound:
     """Smallest positive integer alpha satisfying the chosen variant."""
     if n < 1:
@@ -64,45 +53,38 @@ def independence_guarantee(n: int, t: int, variant: str) -> AlphaBound:
             raise ValueError("variant b requires t >= 5")
         alpha = -((n + t - 5) // -(2 * t - 5))
     elif variant == "c":
-        digits = 12
-        while True:
-            gamma_lo, gamma_hi = _gamma_enclosure(digits)
-            lo = _ceil_frac(Fraction(n) / ((2 - gamma_lo) * t))
-            hi = _ceil_frac(Fraction(n) / ((2 - gamma_hi) * t))
-            if lo == hi:
-                alpha = lo
-                break
-            digits *= 2
+        alpha = -((math.isqrt(5392 * n * n) - 172 * n) // (192 * t))
     else:
         raise ValueError(f"unknown variant {variant!r}")
-    return AlphaBound(n=n, t=t, variant=variant, alpha=max(alpha, 1))
+    return AlphaBound(n=n, t=t, variant=variant, alpha=alpha)
 
 
 def applicable_variants(t: int) -> tuple[str, ...]:
     return ("a", "b", "c") if t >= 5 else ("a", "c")
 
 
-def independence_number(g: Graph, *, cap: int | None = None) -> int:
-    """Exact independence number by branch and bound."""
+def _capped_adj(g: Graph, cap: int | None) -> dict[int, int]:
+    """g's adjacency masks, once g is within the search cap."""
     limit = DEFAULT_MIS_CAP if cap is None else cap
     if g.n > limit:
         raise ResourceLimitExceeded("independent-set search", g.n, limit)
-    adj = {v: g.neighbor_mask(v) for v in g.vertices}
-    return _alpha_bb(adj, g.vertex_mask)
+    return g._adj
+
+
+def independence_number(g: Graph, *, cap: int | None = None) -> int:
+    """Exact independence number by branch and bound."""
+    return _alpha_bb(_capped_adj(g, cap), g.vertex_mask)
 
 
 def max_independent_set(g: Graph, *, cap: int | None = None) -> frozenset[int]:
     """An exact maximum independent set; deterministically the one whose
     sorted member list is lexicographically least, built by fixing
     vertices in ascending order whenever the optimum is preserved."""
-    limit = DEFAULT_MIS_CAP if cap is None else cap
-    if g.n > limit:
-        raise ResourceLimitExceeded("independent-set search", g.n, limit)
-    adj = {v: g.neighbor_mask(v) for v in g.vertices}
+    adj = _capped_adj(g, cap)
     target = _alpha_bb(adj, g.vertex_mask)
     chosen: list[int] = []
     rem = g.vertex_mask
-    for v in g.vertices:
+    for v in adj:
         if len(chosen) == target:
             break
         if not (rem >> v) & 1:

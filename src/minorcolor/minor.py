@@ -145,20 +145,15 @@ def has_clique_minor(
     limit = DEFAULT_SEARCH_CAP if cap is None else cap
     if g.n > limit:
         raise ResourceLimitExceeded("clique-minor search", g.n, limit)
-    if g.n == 0:
-        return None
-    if t == 1:
-        return MinorModel((frozenset({min(g.vertices)}),))
-
-    h, merges = _reduce(g, t)
-    if h.n < t:
+    adj, merges = _reduce(g, t)
+    if len(adj) < t:
         return None
 
-    clique = _find_clique(h, t)
+    clique = _find_clique(adj, t)
     if clique is not None:
         masks = [1 << v for v in sorted(clique)]
     else:
-        masks = _search_branch_sets(h, t)
+        masks = _search_branch_sets(adj, t)
         if masks is None:
             return None
     for kept, absorbed in reversed(merges):
@@ -169,12 +164,13 @@ def has_clique_minor(
     return MinorModel(tuple(frozenset(_bits(mask)) for mask in masks))
 
 
-def _reduce(g: Graph, t: int) -> tuple[Graph, list[tuple[int, int]]]:
+def _reduce(g: Graph, t: int) -> tuple[dict[int, int], list[tuple[int, int]]]:
     """Apply the two exact rules of the module docstring to a fixpoint.
 
-    Returns the reduced graph, which has a K_t minor iff g has one, and
-    the merges in the order made, as (kept id, absorbed id) pairs.  A
-    vertex is rechecked whenever its neighborhood changes, lowest id first.
+    Returns the reduced graph as a {vertex: neighbor mask} dict, which has
+    a K_t minor iff g has one, and the merges in the order made, as (kept
+    id, absorbed id) pairs.  A vertex is rechecked whenever its
+    neighborhood changes, lowest id first.
     """
     adj = dict(g._adj)
     merges = []
@@ -195,15 +191,14 @@ def _reduce(g: Graph, t: int) -> tuple[Graph, list[tuple[int, int]]]:
             kept, absorbed = _contract(adj, 1 << v | 1 << a), max(v, a)
             merges.append((kept, absorbed))
             todo = (todo | adj[kept] | 1 << kept) & ~(1 << absorbed)
-    return Graph._from_adj(adj), merges
+    return adj, merges
 
 
-def _find_clique(g: Graph, t: int) -> tuple[int, ...] | None:
+def _find_clique(adj: dict[int, int], t: int) -> tuple[int, ...] | None:
     """A clique of size t as a subgraph, or None if this quick pass finds
     none.  Greedy always; exhaustive fallback only for t <= 8 (the main
     search stays complete either way)."""
-    adj = {v: g.neighbor_mask(v) for v in g.vertices}
-    for v in g.vertices:
+    for v in adj:
         clique = [v]
         cand = adj[v]
         while cand and len(clique) < t:
@@ -214,12 +209,12 @@ def _find_clique(g: Graph, t: int) -> tuple[int, ...] | None:
             return tuple(clique[:t])
     if t > 8:
         return None
-    return next(_cliques(g, t), None)
+    return next(_cliques(adj, t), None)
 
 
-def _cliques(g: Graph, k: int) -> Iterator[tuple[int, ...]]:
-    """All k-cliques of g, each ascending, lazily in lexicographic order."""
-    adj = {v: g.neighbor_mask(v) for v in g.vertices}
+def _cliques(adj: dict[int, int], k: int) -> Iterator[tuple[int, ...]]:
+    """All k-cliques of the graph adj, each ascending, lazily in
+    lexicographic order."""
 
     def rec(cur: tuple[int, ...], cand: int) -> Iterator[tuple[int, ...]]:
         if len(cur) == k:
@@ -230,13 +225,10 @@ def _cliques(g: Graph, k: int) -> Iterator[tuple[int, ...]]:
         for u in _bits(cand):
             yield from rec(cur + (u,), cand & adj[u] & ~((1 << (u + 1)) - 1))
 
-    return rec((), g.vertex_mask)
+    return rec((), sum(1 << v for v in adj))
 
 
-def _search_branch_sets(g: Graph, t: int) -> list[int] | None:
-    adj = {v: g.neighbor_mask(v) for v in g.vertices}
-    full = g.vertex_mask
-
+def _search_branch_sets(adj: dict[int, int], t: int) -> list[int] | None:
     def nbr_of(mask: int) -> int:
         out = 0
         for v in _bits(mask):
@@ -342,4 +334,4 @@ def _search_branch_sets(g: Graph, t: int) -> list[int] | None:
             return got
         return grow(sets, cur, cur_nbr, excluded | cbit, unassigned, seed, pending, False)
 
-    return advance([], full, -1)
+    return advance([], sum(1 << v for v in adj), -1)

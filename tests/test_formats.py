@@ -82,3 +82,10 @@ def test_dimacs_rejects_non_integer_edge_count():
 def test_dimacs_rejects_edge_count_mismatch(count):
     with pytest.raises(ParseError, match=f"header promised {count} edges but 2 were given"):
         parse_dimacs(f"p edge 3 {count}\ne 1 2\ne 2 3\n")
+
+
+@pytest.mark.parametrize("header", ["p edge -3 0", "p edge 3 -1"])
+def test_dimacs_rejects_negative_counts(header):
+    with pytest.raises(ParseError, match="negative counts in header") as err:
+        parse_dimacs(f"c first line\n{header}\n")
+    assert err.value.line == 2

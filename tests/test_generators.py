@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from minorcolor import (
@@ -9,7 +11,12 @@ from minorcolor import (
     min_degree_vertex,
     write_edge_list,
 )
-from minorcolor.generators import GenSpec, filtered_random, generate
+from minorcolor.generators import (
+    BLOCK_MINOR_FREE_ORDER,
+    GenSpec,
+    filtered_random,
+    generate,
+)
 
 
 def test_equal_specs_produce_identical_edge_lists():
@@ -144,3 +151,42 @@ def test_recorded_block_orders_are_exact():
         block = complete_multipartite(parts)
         assert certify(block, order), parts
         assert not certify(block, order - 1), parts
+
+
+def _filtered_random_cases():
+    for n in (9, 10):
+        for forbid in (5, 6, 7):
+            for seed in range(3):
+                yield f"{n} {forbid} {seed}", filtered_random(n, seed, forbid)
+
+
+def _clique_paste_cases():
+    for parts in BLOCK_MINOR_FREE_ORDER:
+        for blocks in (2, 3, 4):
+            for seed in range(3):
+                yield f"{parts} {blocks} {seed}", clique_paste(
+                    (parts,) * blocks, len(parts), seed
+                )
+
+
+# sha256 over the labelled edge lists of every case: pins each generator's
+# output exactly, not only the properties the tests above check.
+@pytest.mark.parametrize(
+    "cases, digest",
+    [
+        (
+            _filtered_random_cases,
+            "0d14a5d083a10c23bd9d52afcc403c1af14fea05c7cde0ae82b3edc0bd50ee1a",
+        ),
+        (
+            _clique_paste_cases,
+            "ebdac24da75f2d07e46491fc9ff0af959cd749987d0e897f2a3cdbea8399c159",
+        ),
+    ],
+    ids=["filtered_random", "clique_paste"],
+)
+def test_generator_output_golden(cases, digest):
+    h = hashlib.sha256()
+    for label, g in cases():
+        h.update(f"{label}\n{write_edge_list(g)}".encode())
+    assert h.hexdigest() == digest

@@ -1,3 +1,4 @@
+import decimal
 import math
 
 import pytest
@@ -76,6 +77,18 @@ def test_independence_guarantee_is_smallest_satisfying():
             c = independence_guarantee(n, t, "c").alpha
             assert (2 - gamma) * c * t >= n - 1e-9
             assert c == 1 or (2 - gamma) * (c - 1) * t < n + 1e-9
+
+
+def test_variant_c_is_smallest_satisfying_at_fifty_digits():
+    # an independent check of the exact integer solution of variant (c)
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        two_minus_gamma = 2 - (80 - decimal.Decimal(5392).sqrt()) / 126
+        for n in range(1, 501):
+            for t in range(2, 13):
+                c = independence_guarantee(n, t, "c").alpha
+                assert two_minus_gamma * c * t >= n, (n, t)
+                assert c == 1 or two_minus_gamma * (c - 1) * t < n, (n, t)
 
 
 def test_independence_guarantee_validation():
