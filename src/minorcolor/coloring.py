@@ -21,6 +21,15 @@ The recursion runs as one loop that peels a mutable working graph in
 place, then one loop that lifts the coloring back, so instance-size-deep
 recursions never touch the interpreter limit.  Every run produces a
 step-by-step trace; replay_trace drives the same two loops to check it.
+
+The working graph files its vertices in one bucket per degree
+(graph._Peel), so no step scans the whole graph.  The pick probes the
+buckets up to the minimum degree d.  A deletion moves the d neighbors of v
+down one bucket.  A contraction into z rewrites the masks of the outside
+neighbors of the merged vertices other than z, and re-buckets z and those
+of them whose degree changes.  Each of these is a constant number of
+operations on n-bit masks.  The rest of a step is the exact MIS on a
+neighborhood graph of d <= delta vertices and, in the lift, v's color.
 """
 
 from __future__ import annotations
@@ -38,9 +47,7 @@ from .graph import (
     Coloring,
     Graph,
     _bits,
-    _contract,
-    _delete,
-    _min_degree,
+    _Peel,
     is_proper_coloring,
 )
 from .indep import max_independent_set
@@ -169,16 +176,17 @@ def _descend_and_lift(
     takes the minimum-degree vertex v of degree d, deletes it when d = 0 and
     otherwise merges it with choose(v, d, adj).  The lift colors what is
     left with 0 and undoes the steps in reverse order."""
+    peel = _Peel(adj)
     pending = []
     while len(adj) > 1:
-        v, d = _min_degree(adj)
+        v, d = peel.min_degree()
         chosen = choose(v, d, adj)
         nbrs = adj[v]
         if d == 0:
-            _delete(adj, v)
+            peel.delete(v)
             z = None
         else:
-            z = _contract(adj, sum(1 << u for u in chosen) | 1 << v)
+            z = peel.contract(sum(1 << u for u in chosen) | 1 << v)
         pending.append((v, d, chosen, z, nbrs))
 
     assignment: dict[int, int] = {v: 0 for v in adj}
@@ -206,12 +214,12 @@ def elimination_order(g: Graph) -> tuple[list[int], int]:
     """Repeated minimum-degree removal; returns (order, degeneracy)."""
     order: list[int] = []
     degeneracy = 0
-    adj = dict(g._adj)
-    while adj:
-        v, d = _min_degree(adj)
+    peel = _Peel(dict(g._adj))
+    while peel.adj:
+        v, d = peel.min_degree()
         degeneracy = max(degeneracy, d)
         order.append(v)
-        _delete(adj, v)
+        peel.delete(v)
     return order, degeneracy
 
 

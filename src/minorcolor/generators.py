@@ -10,6 +10,7 @@ Equal specs always produce identical graphs.
 from __future__ import annotations
 
 import random
+from bisect import insort
 from dataclasses import dataclass
 
 from .graph import Graph, _bits
@@ -181,14 +182,14 @@ def clique_paste(
         raise ValueError("need at least one block")
     rng = random.Random(seed)
     adj = dict(complete_multipartite(blocks[0])._adj)
-    if next(_cliques(adj, k), None) is None:
+    host_cliques = list(_cliques(adj, k))
+    if not host_cliques:
         raise ValueError(f"block {blocks[0]} has no {k}-clique to paste on")
     for parts in blocks[1:]:
         block = complete_multipartite(parts)._adj
         block_cliques = list(_cliques(block, k))
         if not block_cliques:
             raise ValueError(f"block {parts} has no {k}-clique to paste on")
-        host_cliques = list(_cliques(adj, k))
         host_clique = host_cliques[rng.randrange(len(host_cliques))]
         block_clique = block_cliques[rng.randrange(len(block_cliques))]
         relabel = dict(zip(block_clique, host_clique))
@@ -198,6 +199,11 @@ def clique_paste(
                 adj[relabel[v]] = 0
         for v, mask in block.items():
             adj[relabel[v]] |= sum(1 << relabel[u] for u in _bits(mask))
+        # A k-clique of the paste lies inside the host or inside the block,
+        # so the new ones are the block's other than the glued one.
+        for clique in block_cliques:
+            if clique != block_clique:
+                insort(host_cliques, tuple(sorted(relabel[u] for u in clique)))
     return Graph._from_adj(adj)
 
 

@@ -211,12 +211,21 @@ def min_degree_vertex(g: Graph) -> tuple[int, int]:
     """A vertex of minimum degree and that degree; ties go to the smallest id."""
     if g.n == 0:
         raise ValueError("empty graph has no minimum-degree vertex")
-    return _min_degree(g._adj)
+    adj = g._adj
+    v = min(adj, key=lambda u: adj[u].bit_count())
+    return v, adj[v].bit_count()
 
 
 # In-place helpers over a working {vertex: neighbor mask} dict.  Keys are
 # only ever deleted (a contraction keeps the smallest id of its set), so a
-# dict built ascending stays ascending and min() picks the smallest id.
+# dict built ascending stays ascending.  _delete and _contract serve the
+# callers that never pick a minimum (minor._reduce and the wrappers above).
+# A descent that does pick one drives its dict through _Peel, which also
+# keeps deg[v] == adj[v].bit_count() and one bitmask per degree, with bit v
+# set in buckets[d] exactly when deg[v] == d.  The lowest set bit of the
+# lowest non-empty bucket is then the minimum-degree vertex with the
+# smallest id, and delete and contract move only the vertices whose degree
+# they change.
 
 
 def _delete(adj: dict[int, int], v: int) -> None:
@@ -226,22 +235,81 @@ def _delete(adj: dict[int, int], v: int) -> None:
 
 
 def _contract(adj: dict[int, int], smask: int) -> int:
-    """Merge the non-empty vertex set smask into its smallest id z; return z."""
+    """Merge the non-empty vertex set smask into its smallest id z; return z.
+    Only the outside neighbors of the members other than z get new masks."""
     z = (smask & -smask).bit_length() - 1
     zbit = 1 << z
-    znbrs = adj[z]
+    moved = 0
     for v in _bits(smask ^ zbit):
-        znbrs |= adj.pop(v)
-    znbrs &= ~smask
-    for u in _bits(znbrs):
+        moved |= adj.pop(v)
+    moved &= ~smask
+    for u in _bits(moved):
         adj[u] = (adj[u] & ~smask) | zbit
-    adj[z] = znbrs
+    adj[z] = (adj[z] | moved) & ~smask
     return z
 
 
-def _min_degree(adj: dict[int, int]) -> tuple[int, int]:
-    v = min(adj, key=lambda u: adj[u].bit_count())
-    return v, adj[v].bit_count()
+class _Peel:
+    """The smallest-last degree queue of Matula & Beck (1983) over a
+    working dict adj, which it owns: change adj only through delete and
+    contract, or the buckets go stale."""
+
+    __slots__ = ("adj", "deg", "buckets")
+
+    def __init__(self, adj: dict[int, int]):
+        self.adj = adj
+        self.deg = deg = {}
+        self.buckets = buckets = [0] * (len(adj) + 1)
+        for v, mask in adj.items():
+            deg[v] = d = mask.bit_count()
+            buckets[d] |= 1 << v
+
+    def min_degree(self) -> tuple[int, int]:
+        buckets = self.buckets
+        d = 0
+        while not buckets[d]:
+            d += 1
+        return (buckets[d] & -buckets[d]).bit_length() - 1, d
+
+    def delete(self, v: int) -> None:
+        adj, deg, buckets = self.adj, self.deg, self.buckets
+        vbit = 1 << v
+        buckets[deg.pop(v)] ^= vbit
+        for u in _bits(adj.pop(v)):
+            adj[u] ^= vbit
+            d = deg[u]
+            deg[u] = d - 1
+            ubit = 1 << u
+            buckets[d] ^= ubit
+            buckets[d - 1] |= ubit
+
+    def contract(self, smask: int) -> int:
+        """_contract, moving each vertex whose degree changes: an outside
+        neighbor u of smask goes from d to d - |adj[u] & smask| + 1, and
+        the merged vertex z to |adj[z]|."""
+        adj, deg, buckets = self.adj, self.deg, self.buckets
+        z = (smask & -smask).bit_length() - 1
+        zbit = 1 << z
+        moved = 0
+        for v in _bits(smask ^ zbit):
+            buckets[deg.pop(v)] ^= 1 << v
+            moved |= adj.pop(v)
+        moved &= ~smask
+        for u in _bits(moved):
+            mask = adj[u]
+            adj[u] = (mask & ~smask) | zbit
+            k = (mask & smask).bit_count()
+            if k > 1:
+                d = deg[u]
+                deg[u] = d - k + 1
+                ubit = 1 << u
+                buckets[d] ^= ubit
+                buckets[d - k + 1] |= ubit
+        adj[z] = znbrs = (adj[z] | moved) & ~smask
+        buckets[deg[z]] ^= zbit
+        deg[z] = d = znbrs.bit_count()
+        buckets[d] |= zbit
+        return z
 
 
 def is_independent_set(g: Graph, s: Iterable[int]) -> bool:

@@ -167,6 +167,19 @@ def test_color_audit_failure_exit_eight(tmp_path, capsys):
             "4",
             "21dd3531c465fea3573cf3efdcacccef85f8706ee0629919304ee22add5068a2",
         ),
+        # long descents through hubs of high degree
+        (
+            "tri2000.el",
+            lambda: generate(GenSpec("planar_triangulation", n=2000, seed=7)),
+            "4",
+            "c77d6930d5ab347a192fbad779f7240d9ab40bda7e8d1844ea3c37504685f659",
+        ),
+        (
+            "paste6x40.el",
+            lambda: clique_paste(((1, 2, 2, 2, 2, 2),) * 40, 6, 2),
+            "8",
+            "a3360a68cc4449ce4b01401bc7e48c4c7914b09a53d1af35e26aa7d02c27d56e",
+        ),
     ],
 )
 def test_color_structured_output_golden(

@@ -1,7 +1,8 @@
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+import hypothesis.strategies as st
+from hypothesis import example, given, settings
 
 from minorcolor import (
     Graph,
@@ -203,3 +204,68 @@ def test_coloring_is_deterministic():
     b = color_by_contraction(g, 4, 5, 2)
     assert a.coloring.assignment == b.coloring.assignment
     assert a.trace == b.trace
+
+
+# An independent reference for the pick order: a full scan over a
+# {vertex: set of neighbors} graph rebuilt from the recorded steps, sharing
+# no code with the descent.
+
+
+def _naive_pick(nbrs):
+    """Minimum degree first, then the smallest id."""
+    d, v = min((len(us), v) for v, us in nbrs.items())
+    return v, d
+
+
+@st.composite
+def sparse_id_graphs(draw):
+    """Graphs on up to 14 ids drawn from 0..40, at one of three densities,
+    so ids have holes, sparse draws leave isolated vertices, and hubs
+    appear."""
+    ids = sorted(draw(st.sets(st.integers(0, 40), min_size=1, max_size=14)))
+    pairs = [(u, v) for i, u in enumerate(ids) for v in ids[i + 1 :]]
+    keep_from = draw(st.integers(1, 3))
+    flags = draw(st.lists(st.integers(0, 3), min_size=len(pairs), max_size=len(pairs)))
+    return Graph(ids, [p for p, f in zip(pairs, flags) if f >= keep_from])
+
+
+# 36 is isolated and goes first; then 5 (degree 1) merges with the hub 17
+# into id 5, which comes out with degree 4.
+HUB_AND_ISOLATED = Graph(
+    [2, 5, 9, 11, 17, 23, 30, 36],
+    [(2, 23), (5, 17), (9, 17), (11, 17), (17, 23), (17, 30), (23, 30)],
+)
+
+
+@given(sparse_id_graphs())
+@example(HUB_AND_ISOLATED)
+@example(Graph([4, 8, 15, 16, 23, 42]))
+@example(Graph.complete(6))
+@settings(max_examples=200, deadline=None)
+def test_pick_order_matches_naive_scan(g):
+    report = color_by_contraction(g, 2, max(g.n, 1), 1)
+    nbrs = {v: set(g.neighbors(v)) for v in g.vertices}
+    for step in report.trace.steps:
+        assert (step.vertex, step.degree) == _naive_pick(nbrs)
+        if step.degree == 0:
+            del nbrs[step.vertex]
+            continue
+        merged = {step.vertex} | step.independent_set
+        z = min(merged)
+        assert step.merged_vertex == z
+        outside = set().union(*(nbrs.pop(u) for u in merged)) - merged
+        for u in outside:
+            nbrs[u] = (nbrs[u] - merged) | {z}
+        nbrs[z] = outside
+    assert len(nbrs) == report.trace.base_size
+
+    order, degeneracy = elimination_order(g)
+    nbrs = {v: set(g.neighbors(v)) for v in g.vertices}
+    expected, widest = [], 0
+    while nbrs:
+        v, d = _naive_pick(nbrs)
+        expected.append(v)
+        widest = max(widest, d)
+        for u in nbrs.pop(v):
+            nbrs[u].discard(v)
+    assert (order, degeneracy) == (expected, widest)
