@@ -22,14 +22,16 @@ place, then one loop that lifts the coloring back, so instance-size-deep
 recursions never touch the interpreter limit.  Every run produces a
 step-by-step trace; replay_trace drives the same two loops to check it.
 
-The working graph files its vertices in one bucket per degree
-(graph._Peel), so no step scans the whole graph.  The pick probes the
-buckets up to the minimum degree d.  A deletion moves the d neighbors of v
-down one bucket.  A contraction into z rewrites the masks of the outside
-neighbors of the merged vertices other than z, and re-buckets z and those
-of them whose degree changes.  Each of these is a constant number of
-operations on n-bit masks.  The rest of a step is the exact MIS on a
-neighborhood graph of d <= delta vertices and, in the lift, v's color.
+The working graph is graph._Peel, the package's one mutable graph (the
+minor search's reductions delete and contract through it too).  It files
+its vertices in one bucket per degree, so no step scans the whole graph.
+The pick probes the buckets up to the minimum degree d.  A deletion moves
+the d neighbors of v down one bucket.  A contraction into z rewrites the
+masks of the outside neighbors of the merged vertices other than z, and
+re-buckets z and those of them whose degree changes.  Each of these is a
+constant number of operations on n-bit masks.  The rest of a step is the
+exact MIS on a neighborhood graph of d <= delta vertices and, in the
+lift, v's color.
 """
 
 from __future__ import annotations

@@ -3,15 +3,17 @@
 Adjacency is stored as one bitmask per vertex, in a {vertex: neighbor
 mask} dict with ascending keys.  A Graph is immutable.  The exact searches
 and the generators take that dict once, at their public entry point, and
-work on it directly or on a copy changed through the in-place helpers at
-the end of this module.  Vertex ids are stable: induced subgraphs and
-contractions never relabel surviving vertices.
+work on it directly or, to delete and contract vertices, on a copy held
+by _Peel, the one mutable working graph, at the end of this module.
+Vertex ids are stable: induced subgraphs and contractions never relabel
+surviving vertices.
 
-induced_subgraph, without_vertex and contract_set are copying wrappers
-over those helpers that only callers outside the package use, and the
-`search-mindegree` command is the one caller of min_degree_vertex.  All
-four stay: they are exported API, and the benchmark's per-layer tracer
-(bench/tracing.py) wraps each of them by name.
+induced_subgraph, without_vertex and contract_set are copying wrappers,
+the last two over _Peel, that only callers outside the package use, and
+the `search-mindegree` command is the one caller of min_degree_vertex,
+which asks _Peel for its pick.  All four stay: they are exported API, and
+the benchmark's per-layer tracer (bench/tracing.py) wraps each of them by
+name.
 """
 
 from __future__ import annotations
@@ -187,9 +189,9 @@ def induced_subgraph(g: Graph, s: Iterable[int]) -> Graph:
 
 def without_vertex(g: Graph, v: int) -> Graph:
     g._check_vertex(v)
-    adj = dict(g._adj)
-    _delete(adj, v)
-    return Graph._from_adj(adj)
+    peel = _Peel(dict(g._adj))
+    peel.delete(v)
+    return Graph._from_adj(peel.adj)
 
 
 def contract_set(g: Graph, s: Iterable[int]) -> tuple[Graph, int]:
@@ -202,57 +204,35 @@ def contract_set(g: Graph, s: Iterable[int]) -> tuple[Graph, int]:
     smask = g._check_subset(s)
     if smask == 0:
         raise ValueError("cannot contract an empty vertex set")
-    adj = dict(g._adj)
-    z = _contract(adj, smask)
-    return Graph._from_adj(adj), z
+    peel = _Peel(dict(g._adj))
+    z = peel.contract(smask)
+    return Graph._from_adj(peel.adj), z
 
 
 def min_degree_vertex(g: Graph) -> tuple[int, int]:
     """A vertex of minimum degree and that degree; ties go to the smallest id."""
     if g.n == 0:
         raise ValueError("empty graph has no minimum-degree vertex")
-    adj = g._adj
-    v = min(adj, key=lambda u: adj[u].bit_count())
-    return v, adj[v].bit_count()
+    return _Peel(g._adj).min_degree()
 
 
-# In-place helpers over a working {vertex: neighbor mask} dict.  Keys are
-# only ever deleted (a contraction keeps the smallest id of its set), so a
-# dict built ascending stays ascending.  _delete and _contract serve the
-# callers that never pick a minimum (minor._reduce and the wrappers above).
-# A descent that does pick one drives its dict through _Peel, which also
-# keeps deg[v] == adj[v].bit_count() and one bitmask per degree, with bit v
-# set in buckets[d] exactly when deg[v] == d.  The lowest set bit of the
-# lowest non-empty bucket is then the minimum-degree vertex with the
-# smallest id, and delete and contract move only the vertices whose degree
-# they change.
-
-
-def _delete(adj: dict[int, int], v: int) -> None:
-    vbit = 1 << v
-    for u in _bits(adj.pop(v)):
-        adj[u] &= ~vbit
-
-
-def _contract(adj: dict[int, int], smask: int) -> int:
-    """Merge the non-empty vertex set smask into its smallest id z; return z.
-    Only the outside neighbors of the members other than z get new masks."""
-    z = (smask & -smask).bit_length() - 1
-    zbit = 1 << z
-    moved = 0
-    for v in _bits(smask ^ zbit):
-        moved |= adj.pop(v)
-    moved &= ~smask
-    for u in _bits(moved):
-        adj[u] = (adj[u] & ~smask) | zbit
-    adj[z] = (adj[z] | moved) & ~smask
-    return z
+# The working-graph kernel.  _Peel is the one piece of code that changes a
+# working {vertex: neighbor mask} dict: the coloring descent, the exact
+# search's reductions (minor._reduce) and the copying wrappers above all
+# delete and contract through it.  Keys are only ever deleted (a
+# contraction keeps the smallest id of its set), so a dict built ascending
+# stays ascending.  Besides the dict, _Peel keeps deg[v] ==
+# adj[v].bit_count() and one bitmask per degree, with bit v set in
+# buckets[d] exactly when deg[v] == d.  The lowest set bit of the lowest
+# non-empty bucket is then the minimum-degree vertex with the smallest id,
+# and delete and contract move only the vertices whose degree they change.
 
 
 class _Peel:
     """The smallest-last degree queue of Matula & Beck (1983) over a
     working dict adj, which it owns: change adj only through delete and
-    contract, or the buckets go stale."""
+    contract, or the buckets go stale.  The constructor only reads adj,
+    so a queue that is only asked for min_degree may share a Graph's."""
 
     __slots__ = ("adj", "deg", "buckets")
 
@@ -284,9 +264,10 @@ class _Peel:
             buckets[d - 1] |= ubit
 
     def contract(self, smask: int) -> int:
-        """_contract, moving each vertex whose degree changes: an outside
-        neighbor u of smask goes from d to d - |adj[u] & smask| + 1, and
-        the merged vertex z to |adj[z]|."""
+        """Merge the non-empty vertex set smask into its smallest id z and
+        return z.  Only the outside neighbors of the members other than z
+        get new masks; each such u goes from degree d to
+        d - |adj[u] & smask| + 1, and z to |adj[z]|."""
         adj, deg, buckets = self.adj, self.deg, self.buckets
         z = (smask & -smask).bit_length() - 1
         zbit = 1 << z

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import ResourceLimitExceeded
-from .graph import Graph, _bits, _contract, _delete
+from .graph import Graph, _bits, _Peel
 
 DEFAULT_SEARCH_CAP = 40
 
@@ -172,7 +172,8 @@ def _reduce(g: Graph, t: int) -> tuple[dict[int, int], list[tuple[int, int]]]:
     id, absorbed id) pairs.  A vertex is rechecked whenever its
     neighborhood changes, lowest id first.
     """
-    adj = dict(g._adj)
+    peel = _Peel(dict(g._adj))
+    adj = peel.adj
     merges = []
     todo = g.vertex_mask
     while todo:
@@ -183,12 +184,13 @@ def _reduce(g: Graph, t: int) -> tuple[dict[int, int], list[tuple[int, int]]]:
         if d >= t - 1:
             continue
         if all(nbrs & ~adj[u] == 1 << u for u in _bits(nbrs)):
-            _delete(adj, v)
+            peel.delete(v)
             todo |= nbrs
         elif d == 2 and t >= 4:
             # not simplicial, so the two neighbors are non-adjacent
             a = (nbrs & -nbrs).bit_length() - 1
-            kept, absorbed = _contract(adj, 1 << v | 1 << a), max(v, a)
+            kept = peel.contract(1 << v | 1 << a)
+            absorbed = v + a - kept
             merges.append((kept, absorbed))
             todo = (todo | adj[kept] | 1 << kept) & ~(1 << absorbed)
     return adj, merges

@@ -1,7 +1,7 @@
 from collections import deque
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from minorcolor import (
@@ -14,6 +14,7 @@ from minorcolor import (
     min_degree_vertex,
     without_vertex,
 )
+from minorcolor.graph import _Peel
 
 from conftest import graphs, petersen
 
@@ -216,3 +217,128 @@ def test_without_vertex():
     g = without_vertex(Graph.cycle(4), 2)
     assert g.vertices == (0, 1, 3)
     assert g.edges() == [(0, 1), (0, 3)]
+
+
+# The working-graph kernel against a naive {vertex: set} reference.
+
+
+@st.composite
+def gapped_graphs(draw):
+    """Graphs on up to 12 ids drawn from 0..40, so ids have gaps, at one of
+    three densities."""
+    ids = sorted(draw(st.sets(st.integers(0, 40), min_size=1, max_size=12)))
+    pairs = [(u, v) for i, u in enumerate(ids) for v in ids[i + 1 :]]
+    keep_from = draw(st.integers(1, 3))
+    flags = draw(st.lists(st.integers(0, 3), min_size=len(pairs), max_size=len(pairs)))
+    return Graph(ids, [p for p, f in zip(pairs, flags) if f >= keep_from])
+
+
+def _reference(g):
+    return {v: set(g.neighbors(v)) for v in g.vertices}
+
+
+def _ref_delete(ref, v):
+    for u in ref.pop(v):
+        ref[u].discard(v)
+
+
+def _ref_contract(ref, s):
+    z = min(s)
+    outside = set().union(*(ref[u] for u in s)) - s
+    for u in s - {z}:
+        del ref[u]
+    for u in outside:
+        ref[u] = (ref[u] - s) | {z}
+    ref[z] = outside
+    return z
+
+
+def _ref_min_degree(ref):
+    d, v = min((len(nbrs), v) for v, nbrs in ref.items())
+    return v, d
+
+
+def _as_masks(ref):
+    return {v: sum(1 << u for u in nbrs) for v, nbrs in ref.items()}
+
+
+def _mask(s):
+    return sum(1 << v for v in s)
+
+
+def _check_peel(peel, ref):
+    assert peel.adj == _as_masks(ref)
+    assert list(peel.adj) == sorted(ref)
+    assert peel.deg == {v: mask.bit_count() for v, mask in peel.adj.items()}
+    for d, bucket in enumerate(peel.buckets):
+        assert bucket == _mask(v for v, dv in peel.deg.items() if dv == d)
+    if ref:
+        assert peel.min_degree() == _ref_min_degree(ref)
+
+
+@st.composite
+def _contracted_sets(draw, ref):
+    """A non-empty vertex set: arbitrary (single vertices, adjacent or
+    non-adjacent members, sets that are not connected), or a vertex with
+    some of its neighbors."""
+    verts = sorted(ref)
+    if draw(st.booleans()):
+        return draw(st.sets(st.sampled_from(verts), min_size=1))
+    v = draw(st.sampled_from(verts))
+    nbrs = sorted(ref[v])
+    return {v} | (draw(st.sets(st.sampled_from(nbrs))) if nbrs else set())
+
+
+@given(gapped_graphs(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_peel_delete_and_contract_match_naive_reference(g, data):
+    ref = _reference(g)
+    peel = _Peel(dict(g._adj))
+    _check_peel(peel, ref)
+    for _ in range(data.draw(st.integers(1, 12))):
+        if not ref:
+            break
+        if data.draw(st.booleans()):
+            v = data.draw(st.sampled_from(sorted(ref)))
+            peel.delete(v)
+            _ref_delete(ref, v)
+        else:
+            s = data.draw(_contracted_sets(ref))
+            assert peel.contract(_mask(s)) == _ref_contract(ref, s)
+        _check_peel(peel, ref)
+
+
+# Ids 3..31 with gaps: a path 3-7-12-20, a triangle 20-25-31, vertex 9
+# isolated.  The sets are a single vertex, adjacent members, non-adjacent
+# members, and members in different components.
+KERNEL_GRAPH = Graph(
+    [3, 7, 9, 12, 20, 25, 31],
+    [(3, 7), (7, 12), (12, 20), (20, 25), (20, 31), (25, 31)],
+)
+
+
+@pytest.mark.parametrize("s", [{12}, {7, 12}, {3, 12, 31}, {3, 9, 25}, {9}])
+def test_peel_contract_kinds_of_sets(s):
+    ref = _reference(KERNEL_GRAPH)
+    peel = _Peel(dict(KERNEL_GRAPH._adj))
+    assert peel.contract(_mask(s)) == _ref_contract(ref, set(s))
+    _check_peel(peel, ref)
+
+
+@given(gapped_graphs(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_copying_wrappers_match_naive_reference(g, data):
+    clone = Graph(g.vertices, g.edges())
+    assert min_degree_vertex(g) == _ref_min_degree(_reference(g))
+
+    v = data.draw(st.sampled_from(g.vertices))
+    ref = _reference(g)
+    _ref_delete(ref, v)
+    assert without_vertex(g, v)._adj == _as_masks(ref)
+
+    s = data.draw(_contracted_sets(_reference(g)))
+    ref = _reference(g)
+    h, z = contract_set(g, s)
+    assert z == _ref_contract(ref, set(s))
+    assert h._adj == _as_masks(ref) and h.vertices == tuple(sorted(ref))
+    assert g == clone

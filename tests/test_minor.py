@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -235,3 +236,60 @@ def test_neighborhoods_of_minor_free_graphs_drop_one_order():
 def test_witness_serialization():
     model = MinorModel((frozenset({2, 1}), frozenset({3})))
     assert model.to_lines() == ["set_0: 1 2", "set_1: 3"]
+
+
+def _reduction_corpus():
+    """Seeded graphs of at most 11 vertices on which both reductions fire:
+    a random core, then subdivided edges (degree-2 vertices with
+    non-adjacent neighbors) and pendant cliques of one or two vertices
+    joined to a vertex or an edge (simplicial vertices).  Each vertex gets
+    a random id from 0..40, so ids have gaps and added vertices are not
+    always the highest."""
+    rng = random.Random(8)
+    for _ in range(250):
+        n = rng.randint(7, 11)
+        ids = rng.sample(range(41), n)
+        core = rng.randint(4, n - 2)
+        edges = [
+            (ids[u], ids[v])
+            for u in range(core)
+            for v in range(u + 1, core)
+            if rng.random() < 0.7
+        ]
+        w = core
+        while w < n:
+            if edges and (rng.random() < 0.5 or n - w < 2):
+                u, v = edges.pop(rng.randrange(len(edges)))
+                edges += [(u, ids[w]), (v, ids[w])]
+                w += 1
+                continue
+            size = rng.randint(1, min(2, n - w))
+            new = ids[w : w + size]
+            anchor = list(rng.choice(edges)) if edges and rng.random() < 0.5 else [ids[0]]
+            edges += [(a, b) for a in anchor for b in new]
+            edges += [(new[0], new[1])] if size == 2 else []
+            w += size
+        yield Graph(ids, edges)
+
+
+def test_reduction_witness_golden():
+    """Pins the witnesses has_clique_minor returns, so a change to the
+    reductions or the search must make the same merges in the same order."""
+    from minorcolor.minor import _reduce
+
+    deleted = merged = 0
+    lines = []
+    for g in _reduction_corpus():
+        for t in range(4, 8):
+            adj, merges = _reduce(g, t)
+            deleted += g.n - len(merges) > len(adj)
+            merged += bool(merges)
+            model = has_clique_minor(g, t)
+            if model is not None:
+                assert validate_model(g, model)
+                lines.append(repr(sorted(sorted(s) for s in model.branch_sets)))
+            else:
+                lines.append("None")
+    assert deleted >= 800 and merged >= 800
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "4a68a864d39f79a1d525fd46ed560f17b51f75b445374da2bdc669e1db7d1717"
