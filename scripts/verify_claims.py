@@ -27,6 +27,7 @@ from minorcolor import (
     validate_model,
 )
 from minorcolor.generators import GenSpec, generate
+from minorcolor.minor import _absence_certificate, _reduce
 from minorcolor.oracles import brute_force_chromatic_number
 
 FAILURES = []
@@ -113,6 +114,19 @@ def main() -> int:
         shown = valid if model is not None else "n/a"
         claim(f"{label} at t={t}: {verdict}, validate_model: {shown}",
               (model is not None) == expect and (model is None or valid))
+
+    print("certificates of absence before the branch-set search:")
+    petersen = Graph(range(10), [e for i in range(5) for e in
+                                 ((i, (i + 1) % 5), (i, i + 5), (5 + i, 5 + (i + 2) % 5))])
+    for label, g, t, expect in (
+        ("K_{2,2,2,3,3}", b12, 9, "clique_count"),
+        ("K_{1,2,2,2,2,2}", b11, 9, "clique_count"),
+        ("Petersen", petersen, 6, "width"),
+    ):
+        cert = _absence_certificate(_reduce(g, t)[0], t)
+        kind = cert[0] if cert else "none"
+        claim(f"{label} at t={t}: no minor, decided by {kind}",
+              kind == expect and has_clique_minor(g, t) is None)
 
     print("coloring across generated families:")
     for t, family, n in ((2, "forest", 25), (3, "series_parallel", 20),

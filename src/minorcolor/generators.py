@@ -3,7 +3,8 @@
 Four families are minor-free by construction (forest, series_parallel,
 planar_triangulation, clique_paste of the known multipartite blocks);
 complete_multipartite blocks carry known guarantees; filtered_random is
-certified by querying the exact oracle after every tentative edge.
+certified by querying the exact oracle after every tentative edge it has
+not already seen rejected.
 Equal specs always produce identical graphs.
 """
 
@@ -217,9 +218,16 @@ def filtered_random(
 ) -> Graph:
     """Grow a random graph one edge at a time, dropping any addition the
     oracle says creates the forbidden minor; stop after max_rejects
-    consecutive rejections (edge-maximal-ish instances)."""
+    consecutive rejections (edge-maximal-ish instances).
+
+    A rejected pair is remembered and, when drawn again, rejected without
+    asking the oracle.  That is sound because the graph only gains edges
+    and having a K_t minor is monotone under adding edges: a pair whose
+    edge once created the minor still creates it.  The draws and the
+    output are the same as with an oracle call every time."""
     rng = random.Random(seed)
     adj = {v: 0 for v in range(n)}
+    rejected: set[tuple[int, int]] = set()
     rejections = 0
     while rejections < max_rejects:
         non_edges = [
@@ -231,6 +239,9 @@ def filtered_random(
         if not non_edges:
             break
         u, v = non_edges[rng.randrange(len(non_edges))]
+        if (u, v) in rejected:
+            rejections += 1
+            continue
         trial = dict(adj)
         trial[u] |= 1 << v
         trial[v] |= 1 << u
@@ -238,5 +249,6 @@ def filtered_random(
             adj = trial
             rejections = 0
         else:
+            rejected.add((u, v))
             rejections += 1
     return Graph._from_adj(adj)

@@ -29,6 +29,24 @@ between them (rule 2).  A witness found after reduction is lifted back by
 replaying the merges in reverse: each absorbed vertex joins the branch
 set that holds the vertex it was merged into.  Deleted vertices lie in no
 branch set.
+
+When the quick clique pass finds no K_t, two certificates that the reduced
+graph has no K_t minor are tried before the search, cheapest first.  The
+reduced graph has a K_t minor iff the input has one, so either certificate
+answers for the input.
+
+1. Clique count.  In a K_t model the s single-vertex branch sets are
+   pairwise adjacent, so they form a clique and take distinct colors in
+   any proper coloring with k colors: s <= k.  The other t - s sets have
+   two vertices or more, so n >= s + 2(t - s) = 2t - s >= 2t - k.  A
+   greedy coloring with n + k < 2t proves there is no K_t minor.
+2. Elimination width.  Eliminating a vertex joins its neighbors into a
+   clique; the width of an order is the largest degree met, and bounds
+   the treewidth from above.  Treewidth does not grow under taking minors
+   and K_t has treewidth t-1, so an order of width < t-1 proves there is
+   no K_t minor.  The order is built by min-fill (Bodlaender and Koster,
+   "Treewidth computations I. Upper bounds", 2010) among the vertices of
+   degree < t-1, and given up once none is left.
 """
 
 from __future__ import annotations
@@ -152,6 +170,8 @@ def has_clique_minor(
     clique = _find_clique(adj, t)
     if clique is not None:
         masks = [1 << v for v in sorted(clique)]
+    elif _absence_certificate(adj, t) is not None:
+        return None
     else:
         masks = _search_branch_sets(adj, t)
         if masks is None:
@@ -212,6 +232,44 @@ def _find_clique(adj: dict[int, int], t: int) -> tuple[int, ...] | None:
     if t > 8:
         return None
     return next(_cliques(adj, t), None)
+
+
+def _absence_certificate(
+    adj: dict[int, int], t: int
+) -> tuple[str, dict[int, int] | list[int]] | None:
+    """Evidence that the graph adj has no K_t minor, or None if neither
+    certificate of the module docstring decides: ("clique_count", a proper
+    coloring as {vertex: color}) with len(adj) + colors < 2t, or ("width",
+    an elimination order of every vertex) whose width is below t-1."""
+    color: dict[int, int] = {}
+    classes: list[int] = []
+    for v, nbrs in adj.items():
+        c = next((c for c, cls in enumerate(classes) if not cls & nbrs), len(classes))
+        if c == len(classes):
+            classes.append(0)
+        classes[c] |= 1 << v
+        color[v] = c
+    if len(adj) + len(classes) < 2 * t:
+        return "clique_count", color
+    work = dict(adj)
+    order = []
+    # once fewer than t vertices are left, any order of them has width < t-1
+    while len(work) >= t:
+        best = best_fill = None
+        for v, nbrs in work.items():
+            d = nbrs.bit_count()
+            if d < t - 1:
+                # twice the number of edges eliminating v would add
+                fill = sum((nbrs & ~work[u]).bit_count() for u in _bits(nbrs)) - d
+                if best_fill is None or fill < best_fill:
+                    best, best_fill = v, fill
+        if best is None:
+            return None
+        nbrs = work.pop(best)
+        for u in _bits(nbrs):
+            work[u] = (work[u] | nbrs) & ~(1 << u | 1 << best)
+        order.append(best)
+    return "width", order + list(work)
 
 
 def _cliques(adj: dict[int, int], k: int) -> Iterator[tuple[int, ...]]:

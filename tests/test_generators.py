@@ -190,3 +190,28 @@ def test_generator_output_golden(cases, digest):
     for label, g in cases():
         h.update(f"{label}\n{write_edge_list(g)}".encode())
     assert h.hexdigest() == digest
+
+
+def test_filtered_random_never_asks_the_oracle_about_a_rejected_pair(monkeypatch):
+    import minorcolor.generators as generators
+
+    oracle = generators.has_clique_minor
+    state = {"edges": set(), "rejected": set(), "calls": 0}
+
+    def watched(g, t, **kwargs):
+        (pair,) = set(g.edges()) - state["edges"]
+        assert pair not in state["rejected"], pair
+        state["calls"] += 1
+        model = oracle(g, t, **kwargs)
+        if model is None:
+            state["edges"].add(pair)
+        else:
+            state["rejected"].add(pair)
+        return model
+
+    monkeypatch.setattr(generators, "has_clique_minor", watched)
+    for forbid in (6, 7):
+        state.update(edges=set(), rejected=set())
+        g = filtered_random(11, 0, forbid)
+        assert set(g.edges()) == state["edges"]
+    assert state["calls"] > 0

@@ -293,3 +293,90 @@ def test_reduction_witness_golden():
     assert deleted >= 800 and merged >= 800
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == "4a68a864d39f79a1d525fd46ed560f17b51f75b445374da2bdc669e1db7d1717"
+
+
+def _clique_count_holds(adj: dict[int, int], t: int, coloring: dict[int, int]) -> bool:
+    """Naive check of a clique-count certificate: a proper coloring of
+    every vertex, and fewer than 2t vertices plus colors."""
+    nbrs = {v: {u for u in adj if mask >> u & 1} for v, mask in adj.items()}
+    if set(coloring) != set(nbrs):
+        return False
+    if any(coloring[u] == coloring[v] for v in nbrs for u in nbrs[v]):
+        return False
+    return len(nbrs) + len(set(coloring.values())) < 2 * t
+
+
+def _elimination_width(adj: dict[int, int], order: list[int]) -> int | None:
+    """Naive re-elimination: the width of order (each vertex once), or
+    None if order is not a permutation of the vertices."""
+    nbrs = {v: {u for u in adj if mask >> u & 1} for v, mask in adj.items()}
+    if sorted(order) != sorted(nbrs):
+        return None
+    width = -1
+    for v in order:
+        near = nbrs.pop(v)
+        width = max(width, len(near))
+        for u in near:
+            nbrs[u] |= near - {u}
+            nbrs[u].discard(v)
+    return width
+
+
+def _certificate_holds(adj: dict[int, int], t: int, cert) -> bool:
+    kind, evidence = cert
+    if kind == "clique_count":
+        return _clique_count_holds(adj, t, evidence)
+    width = _elimination_width(adj, evidence)
+    return kind == "width" and width is not None and width < t - 1
+
+
+@given(graphs(max_n=8), st.integers(3, 7))
+@settings(max_examples=300, deadline=None)
+def test_absence_certificates_are_sound(g, t):
+    from minorcolor.minor import _absence_certificate, _reduce
+
+    # the helper proves absence in whatever graph it is given, so it is
+    # checked on the input as well as on the reduced graph
+    for adj in (dict(g._adj), _reduce(g, t)[0]):
+        cert = _absence_certificate(adj, t)
+        if cert is not None:
+            assert _certificate_holds(adj, t, cert), cert
+            assert not brute_force_has_minor(g, t)
+
+
+@pytest.mark.parametrize(
+    "g, t",
+    [(Graph.complete(t), t) for t in range(1, 8)]
+    + [(petersen(), 5), (Graph.cycle(6), 3)],
+    ids=[f"K{t}@{t}" for t in range(1, 8)] + ["Petersen@5", "C6@3"],
+)
+def test_certificates_stay_silent_when_the_minor_exists(g, t):
+    # K_t colors with t colors (n + k = 2t) and eliminates with width t-1,
+    # the first values at which the certificates must not fire; Petersen
+    # has treewidth 4 and a K5 minor
+    from minorcolor.minor import _absence_certificate
+
+    assert _absence_certificate(dict(g._adj), t) is None
+
+
+@pytest.mark.parametrize(
+    "g, t, kind",
+    [
+        (complete_multipartite((2, 2, 2, 3, 3)), 9, "clique_count"),
+        (complete_multipartite((1, 2, 2, 2, 2, 2)), 9, "clique_count"),
+        (petersen(), 6, "width"),
+    ],
+    ids=["K_{2,2,2,3,3}@9", "K_{1,2,2,2,2,2}@9", "Petersen@6"],
+)
+def test_certificate_skips_the_branch_set_search(monkeypatch, g, t, kind):
+    import minorcolor.minor as minor
+
+    def no_search(adj, t):
+        raise AssertionError("branch-set search reached")
+
+    monkeypatch.setattr(minor, "_search_branch_sets", no_search)
+    assert has_clique_minor(g, t) is None
+    adj, _ = minor._reduce(g, t)
+    cert = minor._absence_certificate(adj, t)
+    assert cert is not None and cert[0] == kind
+    assert _certificate_holds(adj, t, cert)
