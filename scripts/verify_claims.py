@@ -27,7 +27,7 @@ from minorcolor import (
     validate_model,
 )
 from minorcolor.generators import GenSpec, generate
-from minorcolor.minor import _absence_certificate, _reduce
+from minorcolor.minor import _absence_certificate, _find_clique, _reduce
 from minorcolor.oracles import brute_force_chromatic_number
 
 FAILURES = []
@@ -127,6 +127,16 @@ def main() -> int:
         kind = cert[0] if cert else "none"
         claim(f"{label} at t={t}: no minor, decided by {kind}",
               kind == expect and has_clique_minor(g, t) is None)
+
+    print("branch-set search, where nothing before it decides:")
+    for label, g, t, expect in (("Petersen", petersen, 5, True), ("4x4 grid", grid, 5, False)):
+        adj = _reduce(g, t)[0]
+        undecided = _find_clique(adj, t) is None and _absence_certificate(adj, t) is None
+        model = has_clique_minor(g, t)
+        valid = model is not None and validate_model(g, model)
+        verdict = "found" if model is not None else "none"
+        claim(f"{label} at t={t}: no clique or certificate, search says {verdict}",
+              undecided and (model is not None) == expect and (model is None or valid))
 
     print("coloring across generated families:")
     for t, family, n in ((2, "forest", 25), (3, "series_parallel", 20),

@@ -115,7 +115,7 @@ class Graph:
         return self._vmask
 
     def has_vertex(self, v: int) -> bool:
-        return bool((self._vmask >> v) & 1)
+        return isinstance(v, int) and v >= 0 and bool((self._vmask >> v) & 1)
 
     def has_edge(self, u: int, v: int) -> bool:
         self._check_vertex(u)
@@ -142,7 +142,7 @@ class Graph:
         return out
 
     def _check_vertex(self, v: int) -> None:
-        if not (isinstance(v, int) and v >= 0 and (self._vmask >> v) & 1):
+        if not self.has_vertex(v):
             raise ValueError(f"unknown vertex id {v}")
 
     def _check_subset(self, s: Iterable[int]) -> int:
@@ -303,7 +303,11 @@ def is_independent_set(g: Graph, s: Iterable[int]) -> bool:
 
 
 def is_proper_coloring(g: Graph, c: Coloring) -> bool:
-    """True iff c colors every vertex and no edge is monochromatic."""
+    """True iff no edge of g is monochromatic under c.
+
+    Raises ValueError if c's domain is not exactly g's vertex set, or if
+    a color lies outside c's palette.
+    """
     if set(c.assignment) != set(g._adj):
         raise ValueError("coloring domain does not match the graph's vertex set")
     for bad in c.assignment.values():

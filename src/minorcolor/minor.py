@@ -6,7 +6,9 @@ connected vertex sets is grown one set at a time, adding only vertices
 adjacent to the growing set, and closed only once the set touches every
 earlier set.  Branch sets are canonicalized by their minimum element
 (seeds strictly increase, members stay above their seed), so every
-candidate family is visited exactly once.
+candidate family is visited exactly once.  Each closed set carries the
+union of its members' neighborhoods, so a contact test against it is one
+mask operation.
 
 Before the search, two exact rules are applied to a fixpoint:
 
@@ -289,16 +291,17 @@ def _cliques(adj: dict[int, int], k: int) -> Iterator[tuple[int, ...]]:
 
 
 def _search_branch_sets(adj: dict[int, int], t: int) -> list[int] | None:
-    def nbr_of(mask: int) -> int:
-        out = 0
-        for v in _bits(mask):
-            out |= adj[v]
-        return out
+    """The member masks of t branch sets forming a K_t model in the graph
+    adj, in the order they were closed, or None if there is no K_t minor.
 
-    # sets holds (member mask, union-of-neighborhoods mask) per closed set
-    def advance(
-        sets: list[tuple[int, int]], unassigned: int, prev_seed: int
-    ) -> list[int] | None:
+    Each closed set is one (member mask, neighbor-union mask) record, and
+    sets lists them in closing order.  While a set grows, pending holds the
+    records of the closed sets it does not touch yet; it may close only
+    once pending is empty.
+    """
+    sets: list[tuple[int, int]] = []
+
+    def advance(unassigned: int, prev_seed: int) -> list[int] | None:
         if len(sets) == t:
             return [mask for mask, _ in sets]
         avail = unassigned & ~((1 << (prev_seed + 1)) - 1)
@@ -320,12 +323,9 @@ def _search_branch_sets(adj: dict[int, int], t: int) -> list[int] | None:
                 continue
             if all((snbr & comp).bit_count() >= need for _, snbr in sets):
                 seed_pool |= comp
-        if not seed_pool:
-            return None
         for seed in _bits(seed_pool):
-            pending = [smask for smask, _ in sets if not adj[seed] & smask]
+            pending = [rec for rec in sets if not adj[seed] & rec[0]]
             got = grow(
-                sets,
                 1 << seed,
                 adj[seed],
                 0,
@@ -339,13 +339,12 @@ def _search_branch_sets(adj: dict[int, int], t: int) -> list[int] | None:
         return None
 
     def grow(
-        sets: list[tuple[int, int]],
         cur: int,
         cur_nbr: int,
         excluded: int,
         unassigned: int,
         seed: int,
-        pending: list[int],
+        pending: list[tuple[int, int]],
         can_close: bool,
     ) -> list[int] | None:
         above_seed = ~((1 << (seed + 1)) - 1)
@@ -359,7 +358,7 @@ def _search_branch_sets(adj: dict[int, int], t: int) -> list[int] | None:
             and (cur_nbr & unassigned).bit_count() >= t - len(sets) - 1
         ):
             sets.append((cur, cur_nbr))
-            got = advance(sets, unassigned, seed)
+            got = advance(unassigned, seed)
             sets.pop()
             if got is not None:
                 return got
@@ -369,29 +368,23 @@ def _search_branch_sets(adj: dict[int, int], t: int) -> list[int] | None:
             return None
         if pending:
             # the set can only ever reach vertices in its connected closure
-            reach = cur
-            while True:
-                grown = (reach | nbr_of(reach)) & (cur | allowed)
-                if grown == reach:
-                    break
-                reach = grown
-            for smask in pending:
-                if not nbr_of(smask) & reach:
+            reach = _closure(adj, cur, cur | allowed)
+            for _, snbr in pending:
+                if not snbr & reach:
                     return None
         c = (cands & -cands).bit_length() - 1
         cbit = 1 << c
         got = grow(
-            sets,
             cur | cbit,
             cur_nbr | adj[c],
             excluded,
             unassigned & ~cbit,
             seed,
-            [smask for smask in pending if not adj[c] & smask],
+            [rec for rec in pending if not adj[c] & rec[0]],
             True,
         )
         if got is not None:
             return got
-        return grow(sets, cur, cur_nbr, excluded | cbit, unassigned, seed, pending, False)
+        return grow(cur, cur_nbr, excluded | cbit, unassigned, seed, pending, False)
 
-    return advance([], sum(1 << v for v in adj), -1)
+    return advance(sum(1 << v for v in adj), -1)

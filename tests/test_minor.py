@@ -233,6 +233,12 @@ def test_neighborhoods_of_minor_free_graphs_drop_one_order():
         assert has_clique_minor(h, 4) is None
 
 
+def test_validate_model_rejects_bad_vertex_ids():
+    k3 = Graph.complete(3)
+    assert not validate_model(k3, MinorModel((frozenset({-1}),)))
+    assert not validate_model(k3, MinorModel((frozenset({"0"}),)))
+
+
 def test_witness_serialization():
     model = MinorModel((frozenset({2, 1}), frozenset({3})))
     assert model.to_lines() == ["set_0: 1 2", "set_1: 3"]
@@ -293,6 +299,28 @@ def test_reduction_witness_golden():
     assert deleted >= 800 and merged >= 800
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == "4a68a864d39f79a1d525fd46ed560f17b51f75b445374da2bdc669e1db7d1717"
+
+
+def test_branch_set_search_golden():
+    """Pins the raw search order: the masks _search_branch_sets returns,
+    in closing order, when called directly on dense seeded graphs, with
+    no reduction, clique pass or certificate in front of it."""
+    from minorcolor.minor import _search_branch_sets
+
+    rng = random.Random(12)
+    multi = 0
+    lines = []
+    for _ in range(300):
+        n = rng.randint(8, 12)
+        p = rng.uniform(0.45, 0.8)
+        t = rng.randint(5, 7)
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+        masks = _search_branch_sets(dict(Graph(range(n), edges)._adj), t)
+        multi += masks is not None and any(m & (m - 1) for m in masks)
+        lines.append(repr(masks))
+    assert multi >= 150
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "f3fd6aad6e68a3ede003372b9becff107363af763f03d529b04b3c56e02b2076"
 
 
 def _clique_count_holds(adj: dict[int, int], t: int, coloring: dict[int, int]) -> bool:
