@@ -22,8 +22,8 @@ place, then one loop that lifts the coloring back, so instance-size-deep
 recursions never touch the interpreter limit.  Every run produces a
 step-by-step trace; replay_trace drives the same two loops to check it.
 
-The working graph is graph._Peel, the package's one mutable graph (the
-minor search's reductions delete and contract through it too).  It files
+The working graph is graph._Peel, the package's one code that deletes and
+contracts (the minor search's reductions go through it too).  It files
 its vertices in one bucket per degree, so no step scans the whole graph.
 The pick probes the buckets up to the minimum degree d.  A deletion moves
 the d neighbors of v down one bucket.  A contraction into z rewrites the
@@ -130,7 +130,7 @@ def color_by_contraction(
         return chosen
 
     coloring, trace = _descend_and_lift(dict(g._adj), choose, palette)
-    proper = is_proper_coloring(g, coloring) if g.n else True
+    proper = is_proper_coloring(g, coloring)
     return ColorReport(
         coloring=coloring,
         colors_used=coloring.colors_used(),

@@ -4,7 +4,8 @@ Adjacency is stored as one bitmask per vertex, in a {vertex: neighbor
 mask} dict with ascending keys.  A Graph is immutable.  The exact searches
 and the generators take that dict once, at their public entry point, and
 work on it directly or, to delete and contract vertices, on a copy held
-by _Peel, the one mutable working graph, at the end of this module.
+by _Peel, the one code that deletes and contracts, at the end of this
+module.
 Vertex ids are stable: induced subgraphs and contractions never relabel
 surviving vertices.
 
@@ -216,10 +217,10 @@ def min_degree_vertex(g: Graph) -> tuple[int, int]:
     return _Peel(g._adj).min_degree()
 
 
-# The working-graph kernel.  _Peel is the one piece of code that changes a
-# working {vertex: neighbor mask} dict: the coloring descent, the exact
-# search's reductions (minor._reduce) and the copying wrappers above all
-# delete and contract through it.  Keys are only ever deleted (a
+# The working-graph kernel.  _Peel is the one code that deletes and
+# contracts in a working {vertex: neighbor mask} dict: the coloring
+# descent, the exact search's reductions (minor._reduce) and the copying
+# wrappers above all go through it.  Keys are only ever deleted (a
 # contraction keeps the smallest id of its set), so a dict built ascending
 # stays ascending.  Besides the dict, _Peel keeps deg[v] ==
 # adj[v].bit_count() and one bitmask per degree, with bit v set in

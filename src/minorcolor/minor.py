@@ -295,27 +295,26 @@ def _search_branch_sets(adj: dict[int, int], t: int) -> list[int] | None:
     adj, in the order they were closed, or None if there is no K_t minor.
 
     Each closed set is one (member mask, neighbor-union mask) record, and
-    sets lists them in closing order.  While a set grows, pending holds the
-    records of the closed sets it does not touch yet; it may close only
+    sets lists them in closing order.  live is the mask of the unassigned
+    vertices above the newest set's seed: the only vertices that set, and
+    every set after it, may still take.  While a set grows, pending holds
+    the records of the closed sets it does not touch yet; it may close only
     once pending is empty.
     """
     sets: list[tuple[int, int]] = []
 
-    def advance(unassigned: int, prev_seed: int) -> list[int] | None:
+    def advance(live: int) -> list[int] | None:
         if len(sets) == t:
             return [mask for mask, _ in sets]
-        avail = unassigned & ~((1 << (prev_seed + 1)) - 1)
         need = t - len(sets)
-        if avail.bit_count() < need:
-            return None
         # every future set needs its own vertex next to every closed set
         for _, snbr in sets:
-            if (snbr & avail).bit_count() < need:
+            if (snbr & live).bit_count() < need:
                 return None
         # future sets are pairwise adjacent, so they all live inside one
-        # connected component of the available vertices
+        # connected component of the live vertices
         seed_pool = 0
-        rest = avail
+        rest = live
         while rest:
             comp = _closure(adj, rest & -rest, rest)
             rest &= ~comp
@@ -325,15 +324,8 @@ def _search_branch_sets(adj: dict[int, int], t: int) -> list[int] | None:
                 seed_pool |= comp
         for seed in _bits(seed_pool):
             pending = [rec for rec in sets if not adj[seed] & rec[0]]
-            got = grow(
-                1 << seed,
-                adj[seed],
-                0,
-                unassigned & ~(1 << seed),
-                seed,
-                pending,
-                True,
-            )
+            above = live & ~((1 << (seed + 1)) - 1)
+            got = grow(1 << seed, adj[seed], 0, above, pending)
             if got is not None:
                 return got
         return None
@@ -342,49 +334,42 @@ def _search_branch_sets(adj: dict[int, int], t: int) -> list[int] | None:
         cur: int,
         cur_nbr: int,
         excluded: int,
-        unassigned: int,
-        seed: int,
+        live: int,
         pending: list[tuple[int, int]],
-        can_close: bool,
     ) -> list[int] | None:
-        above_seed = ~((1 << (seed + 1)) - 1)
-        if (unassigned & above_seed).bit_count() < t - len(sets) - 1:
+        need = t - len(sets) - 1
+        if live.bit_count() < need:
             return None
-        # closing is pointless unless enough unassigned vertices sit next to
-        # this set to give every future set its own contact
-        if (
-            can_close
-            and not pending
-            and (cur_nbr & unassigned).bit_count() >= t - len(sets) - 1
-        ):
+        # closing is pointless unless enough live vertices sit next to this
+        # set to give every future set its own contact
+        if not pending and (cur_nbr & live).bit_count() >= need:
             sets.append((cur, cur_nbr))
-            got = advance(unassigned, seed)
+            got = advance(live)
             sets.pop()
             if got is not None:
                 return got
-        allowed = unassigned & ~excluded & above_seed
-        cands = cur_nbr & allowed
-        if not cands:
-            return None
-        if pending:
-            # the set can only ever reach vertices in its connected closure
-            reach = _closure(adj, cur, cur | allowed)
-            for _, snbr in pending:
-                if not snbr & reach:
-                    return None
-        c = (cands & -cands).bit_length() - 1
-        cbit = 1 << c
-        got = grow(
-            cur | cbit,
-            cur_nbr | adj[c],
-            excluded,
-            unassigned & ~cbit,
-            seed,
-            [rec for rec in pending if not adj[c] & rec[0]],
-            True,
-        )
-        if got is not None:
-            return got
-        return grow(cur, cur_nbr, excluded | cbit, unassigned, seed, pending, False)
+        # add the lowest candidate, then exclude it for good
+        cands = cur_nbr & live & ~excluded
+        while cands:
+            if pending:
+                # the set can only ever reach vertices in its connected closure
+                reach = _closure(adj, cur, cur | (live & ~excluded))
+                for _, snbr in pending:
+                    if not snbr & reach:
+                        return None
+            c = (cands & -cands).bit_length() - 1
+            cbit = 1 << c
+            got = grow(
+                cur | cbit,
+                cur_nbr | adj[c],
+                excluded,
+                live & ~cbit,
+                [rec for rec in pending if not adj[c] & rec[0]],
+            )
+            if got is not None:
+                return got
+            excluded |= cbit
+            cands ^= cbit
+        return None
 
-    return advance(sum(1 << v for v in adj), -1)
+    return advance(sum(1 << v for v in adj))

@@ -292,6 +292,19 @@ def test_oracle_cap_env_override(tmp_path, capsys, monkeypatch):
     assert "none" in out
 
 
+def test_cap_flag(tmp_path, capsys, monkeypatch):
+    path = str(tmp_path / "six.el")
+    save_graph(Graph.cycle(6), path)
+    code, _, err = run(capsys, "check-minor", "--t", "3", "--cap", "5", path)
+    assert code == 4
+    assert "cap" in err
+    # the flag wins over the environment
+    monkeypatch.setenv("MINORCOLOR_ORACLE_CAP", "5")
+    code, out, _ = run(capsys, "check-minor", "--t", "3", "--cap", "6", path)
+    assert code == 0
+    assert "FOUND" in out
+
+
 def test_search_mindegree_corpus_t7(capsys):
     code, out, _ = run(
         capsys, "search-mindegree", "--t", "7", "--format", "structured"

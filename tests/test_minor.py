@@ -16,6 +16,7 @@ from minorcolor import (
     validate_model,
 )
 from minorcolor.generators import GenSpec, complete_multipartite, generate
+from minorcolor.graph import _bits
 from minorcolor.oracles import brute_force_has_minor
 
 from conftest import graphs, petersen
@@ -92,6 +93,12 @@ def test_validate_model_requires_connected_sets():
 def test_validate_model_requires_pairwise_edges():
     g = Graph(range(4), [(0, 1), (2, 3)])
     assert not validate_model(g, MinorModel((frozenset({0, 1}), frozenset({2, 3}))))
+
+
+def test_validate_model_rejects_empty_branch_set():
+    k3 = Graph.complete(3)
+    assert validate_model(k3, MinorModel((frozenset({0}), frozenset({1}))))
+    assert not validate_model(k3, MinorModel((frozenset({0}), frozenset())))
 
 
 def test_edge_count_shortcut_rows():
@@ -321,6 +328,27 @@ def test_branch_set_search_golden():
     assert multi >= 150
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == "f3fd6aad6e68a3ede003372b9becff107363af763f03d529b04b3c56e02b2076"
+
+
+@given(graphs(max_n=7), st.integers(2, 7), st.data())
+@settings(max_examples=200, deadline=None)
+def test_branch_set_search_alone_agrees_with_brute_force(g, t, data):
+    """_search_branch_sets called directly, with no reduction or size check
+    in front of it, on graphs that may have fewer than t vertices and ids
+    with gaps."""
+    from minorcolor.minor import _search_branch_sets
+
+    ids = data.draw(
+        st.lists(st.integers(0, 30), min_size=g.n, max_size=g.n, unique=True)
+    )
+    relabel = dict(zip(g.vertices, ids))
+    h = Graph(ids, [(relabel[u], relabel[v]) for u, v in g.edges()])
+    masks = _search_branch_sets(dict(h._adj), t)
+    assert (masks is not None) == brute_force_has_minor(h, t)
+    if masks is not None:
+        model = MinorModel(tuple(frozenset(_bits(m)) for m in masks))
+        assert model.order == t
+        assert validate_model(h, model)
 
 
 def _clique_count_holds(adj: dict[int, int], t: int, coloring: dict[int, int]) -> bool:
