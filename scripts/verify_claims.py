@@ -7,6 +7,7 @@ places (it re-derives everything from scratch); expect roughly a minute.
 """
 
 import math
+import random
 from fractions import Fraction
 
 from minorcolor import (
@@ -28,7 +29,7 @@ from minorcolor import (
 )
 from minorcolor.generators import GenSpec, generate
 from minorcolor.minor import _absence_certificate, _find_clique, _reduce
-from minorcolor.oracles import brute_force_chromatic_number
+from minorcolor.oracles import brute_force_chromatic_number, brute_force_max_independent_set
 
 FAILURES = []
 
@@ -137,6 +138,19 @@ def main() -> int:
         verdict = "found" if model is not None else "none"
         claim(f"{label} at t={t}: no clique or certificate, search says {verdict}",
               undecided and (model is not None) == expect and (model is None or valid))
+
+    print("exact independent sets:")
+    claim("Petersen: max_independent_set equals the subset-enumeration oracle",
+          max_independent_set(petersen) == brute_force_max_independent_set(petersen))
+    rng = random.Random(7)
+    ok = True
+    for _ in range(20):
+        n = rng.randint(12, 14)
+        p = rng.uniform(0.2, 0.7)
+        g = Graph(range(n), [(u, v) for u in range(n) for v in range(u + 1, n)
+                             if rng.random() < p])
+        ok = ok and max_independent_set(g) == brute_force_max_independent_set(g)
+    claim("20 seeded graphs on 12-14 vertices: equal to the oracle, tie-break included", ok)
 
     print("coloring across generated families:")
     for t, family, n in ((2, "forest", 25), (3, "series_parallel", 20),

@@ -72,11 +72,15 @@ ORACLE_CAP_ENV = "MINORCOLOR_ORACLE_CAP"
 Report = tuple[int, dict, dict, list[str]]
 
 
-def _resolve_cap(value: int | None) -> int:
-    if value is not None:
-        return value
-    env = os.environ.get(ORACLE_CAP_ENV)
-    return int(env) if env else DEFAULT_SEARCH_CAP
+def _cap(raw: str) -> int:
+    """A vertex cap: a non-negative integer."""
+    try:
+        value = int(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid cap {raw!r}: not an integer") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"invalid cap {raw!r}: negative")
+    return value
 
 
 def _parse_parts(raw: str) -> tuple[int, ...]:
@@ -156,7 +160,7 @@ def cmd_color(args) -> Report:
         "delta": delta,
         "alpha": alpha,
         "audit": args.audit,
-        "cap": _resolve_cap(args.cap),
+        "cap": args.cap,
     }
     try:
         report = color_by_contraction(
@@ -204,14 +208,13 @@ def cmd_color(args) -> Report:
 
 def cmd_check_minor(args) -> Report:
     g = load_graph(args.path)
-    cap = _resolve_cap(args.cap)
     config = {
         "input": args.path,
         "input_sha256": sha256_of_file(args.path),
         "t": args.t,
-        "cap": cap,
+        "cap": args.cap,
     }
-    model = has_clique_minor(g, args.t, cap=cap)
+    model = has_clique_minor(g, args.t, cap=args.cap)
     forced = (
         edge_count_forces_minor(g, args.t) if args.t in EXTREMAL_EDGE_BOUNDS else None
     )
@@ -286,7 +289,7 @@ def cmd_gen(args) -> Report:
         clique_size=args.clique_size,
         forbid=args.forbid,
         max_rejects=args.max_rejects,
-        oracle_cap=_resolve_cap(args.cap),
+        oracle_cap=args.cap,
     )
     g = generate(spec)
     save_graph(g, args.out)
@@ -339,7 +342,7 @@ def _conjecture_corpus(t: int, seed: int) -> Iterator[tuple[str, Graph, int, str
 def cmd_search_mindegree(args) -> Report:
     t = args.t
     conjectured_delta = table_row(t, "conjectured").delta
-    cap = _resolve_cap(args.cap)
+    cap = args.cap
     config = {
         "t": t,
         "mode": args.mode,
@@ -454,13 +457,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=int, help="override the minimum-degree bound")
     p.add_argument("--alpha", type=int, help="override the independence guarantee")
     p.add_argument("--audit", action="store_true", help="verify neighborhood minor-freeness")
-    p.add_argument("--cap", type=int)
     p.set_defaults(func=cmd_color)
 
     p = sub.add_parser("check-minor", help="exact clique-minor test with witness")
     p.add_argument("path")
     p.add_argument("--t", type=int, required=True, help="clique minor order to look for")
-    p.add_argument("--cap", type=int)
     p.set_defaults(func=cmd_check_minor)
 
     p = sub.add_parser("alpha", help="independence guarantees for (n, t)")
@@ -481,7 +482,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--clique-size", type=int, dest="clique_size")
     p.add_argument("--forbid", type=int, help="forbidden minor order for filtered_random")
     p.add_argument("--max-rejects", type=int, default=30, dest="max_rejects")
-    p.add_argument("--cap", type=int)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen)
 
@@ -492,9 +492,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-min", type=int, default=8, dest="n_min")
     p.add_argument("--n-max", type=int, default=12, dest="n_max")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cap", type=int)
     p.set_defaults(func=cmd_search_mindegree)
 
+    for name in ("color", "check-minor", "gen", "search-mindegree"):
+        sub.choices[name].add_argument(
+            "--cap",
+            type=_cap,
+            help=f"vertex cap of the exact clique-minor search (default: "
+            f"${ORACLE_CAP_ENV}, else {DEFAULT_SEARCH_CAP})",
+        )
     # declared last on every subcommand, so it stays last in each usage line
     for p in sub.choices.values():
         p.add_argument("--format", choices=("text", "structured"), default="text")
@@ -502,7 +508,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if "cap" in vars(args) and args.cap is None:
+        env = os.environ.get(ORACLE_CAP_ENV)
+        try:
+            args.cap = _cap(env) if env else DEFAULT_SEARCH_CAP
+        except argparse.ArgumentTypeError as exc:
+            parser.error(f"{ORACLE_CAP_ENV}: {exc}")
     try:
         code, config, result, text = args.func(args)
     except ResourceLimitExceeded as exc:

@@ -1,5 +1,13 @@
 """Exact maximum independent sets and the closed-form independence bounds.
 
+max_independent_set is one branch and bound.  It decides the lowest
+remaining vertex, taking it before leaving it out, and keeps the first
+maximum set it meets.  That set is the lexicographically least: two sets
+of equal size first differ at a vertex that one of them takes, and the
+search meets that one first.  A vertex with no neighbor left is taken
+outright.  That keeps the order, since such a vertex is in every maximum
+set of its branch and removing it changes no other vertex's degree.
+
 The three bound variants give a guaranteed independent-set size for an
 n-vertex graph with no complete minor of order t+1:
 
@@ -63,54 +71,47 @@ def applicable_variants(t: int) -> tuple[str, ...]:
     return ("a", "b", "c") if t >= 5 else ("a", "c")
 
 
-def _capped_adj(g: Graph, cap: int | None) -> dict[int, int]:
-    """g's adjacency masks, once g is within the search cap."""
-    limit = DEFAULT_MIS_CAP if cap is None else cap
-    if g.n > limit:
-        raise ResourceLimitExceeded("independent-set search", g.n, limit)
-    return g._adj
-
-
 def independence_number(g: Graph, *, cap: int | None = None) -> int:
-    """Exact independence number by branch and bound."""
-    return _alpha_bb(_capped_adj(g, cap), g.vertex_mask)
+    """Exact independence number: the size of max_independent_set."""
+    return len(max_independent_set(g, cap=cap))
 
 
 def max_independent_set(g: Graph, *, cap: int | None = None) -> frozenset[int]:
     """An exact maximum independent set; deterministically the one whose
-    sorted member list is lexicographically least, built by fixing
-    vertices in ascending order whenever the optimum is preserved."""
-    adj = _capped_adj(g, cap)
-    target = _alpha_bb(adj, g.vertex_mask)
-    chosen: list[int] = []
-    rem = g.vertex_mask
-    for v in adj:
-        if len(chosen) == target:
-            break
-        if not (rem >> v) & 1:
-            continue
-        after_take = rem & ~(adj[v] | (1 << v))
-        if len(chosen) + 1 + _alpha_bb(adj, after_take) == target:
-            chosen.append(v)
-            rem = after_take
-        else:
-            rem &= ~(1 << v)
-    return frozenset(chosen)
+    sorted member list is lexicographically least.
 
+    It is the first maximum set the search meets: the lowest remaining
+    vertex is taken before it is left out, so sets of equal size are met
+    in lexicographic order.  A vertex with no neighbor left is taken
+    outright; it is in every maximum set of its branch, and removing it
+    changes no other vertex's degree.  A branch is cut only when its size
+    plus a clique-cover bound cannot beat the best size so far.
+    """
+    limit = DEFAULT_MIS_CAP if cap is None else cap
+    if g.n > limit:
+        raise ResourceLimitExceeded("independent-set search", g.n, limit)
+    adj = g._adj
+    best = best_size = 0
 
-def _greedy_is(adj: dict[int, int], mask: int) -> int:
-    """Min-degree greedy independent set size; the starting incumbent."""
-    size = 0
-    while mask:
-        best_v = -1
-        best_d = 1 << 62
+    def bb(mask: int, taken: int, size: int) -> None:
+        nonlocal best, best_size
         for v in _bits(mask):
-            d = (adj[v] & mask).bit_count()
-            if d < best_d:
-                best_v, best_d = v, d
-        size += 1
-        mask &= ~(adj[best_v] | (1 << best_v))
-    return size
+            if not adj[v] & mask:
+                taken |= 1 << v
+                size += 1
+        mask &= ~taken
+        if not mask:
+            if size > best_size:
+                best, best_size = taken, size
+            return
+        if size + _cover_bound(adj, mask) <= best_size:
+            return
+        low = mask & -mask
+        bb(mask & ~(adj[low.bit_length() - 1] | low), taken | low, size + 1)
+        bb(mask ^ low, taken, size)
+
+    bb(g.vertex_mask, 0, 0)
+    return frozenset(_bits(best))
 
 
 def _cover_bound(adj: dict[int, int], mask: int) -> int:
@@ -126,38 +127,3 @@ def _cover_bound(adj: dict[int, int], mask: int) -> int:
             cand &= adj[u]
             mask &= ~(1 << u)
     return count
-
-
-def _alpha_bb(adj: dict[int, int], mask: int) -> int:
-    """Exact alpha of the induced submask: branch on a maximum-degree
-    vertex in or out, prune with the greedy clique-cover estimate, take
-    degree <= 1 vertices outright."""
-    best = _greedy_is(adj, mask)
-
-    def bb(mask: int, size: int) -> None:
-        nonlocal best
-        while mask:
-            picked = -1
-            max_d = -1
-            max_v = -1
-            for v in _bits(mask):
-                d = (adj[v] & mask).bit_count()
-                if d <= 1:
-                    picked = v
-                    break
-                if d > max_d:
-                    max_d, max_v = d, v
-            if picked >= 0:
-                size += 1
-                mask &= ~(adj[picked] | (1 << picked))
-                continue
-            if size + _cover_bound(adj, mask) <= best:
-                return
-            bb(mask & ~(adj[max_v] | (1 << max_v)), size + 1)
-            bb(mask & ~(1 << max_v), size)
-            return
-        if size > best:
-            best = size
-
-    bb(mask, 0)
-    return best

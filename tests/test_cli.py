@@ -303,6 +303,17 @@ def test_cap_flag(tmp_path, capsys, monkeypatch):
     code, out, _ = run(capsys, "check-minor", "--t", "3", "--cap", "6", path)
     assert code == 0
     assert "FOUND" in out
+    # a bad cap is a usage error, from the flag or from the environment
+    for bad in ("-1", "abc"):
+        with pytest.raises(SystemExit) as exc:
+            main(["check-minor", "--t", "3", "--cap", bad, path])
+        assert exc.value.code == 2
+        assert f"argument --cap: invalid cap {bad!r}" in capsys.readouterr().err
+    monkeypatch.setenv("MINORCOLOR_ORACLE_CAP", "abc")
+    with pytest.raises(SystemExit) as exc:
+        main(["check-minor", "--t", "3", path])
+    assert exc.value.code == 2
+    assert "MINORCOLOR_ORACLE_CAP: invalid cap 'abc'" in capsys.readouterr().err
 
 
 def test_search_mindegree_corpus_t7(capsys):

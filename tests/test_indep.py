@@ -1,5 +1,7 @@
 import decimal
+import hashlib
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -44,7 +46,28 @@ def test_cap_enforced():
     g = Graph(range(70), max_vertices=128)
     with pytest.raises(ResourceLimitExceeded):
         max_independent_set(g)
+    with pytest.raises(ResourceLimitExceeded):
+        independence_number(g)
+    with pytest.raises(ResourceLimitExceeded):
+        independence_number(g, cap=69)
     assert len(max_independent_set(g, cap=128)) == 70
+    assert independence_number(g, cap=70) == 70
+
+
+def test_max_independent_set_golden():
+    """Pins the exact set and alpha on seeded graphs well past the reach
+    of the brute-force property, ids with gaps, sparse to dense."""
+    rng = random.Random(14)
+    lines = []
+    for _ in range(300):
+        n = rng.randint(9, 24)
+        p = rng.uniform(0.1, 0.9)
+        ids = sorted(rng.sample(range(2 * n), n))
+        edges = [(u, v) for i, u in enumerate(ids) for v in ids[i + 1 :] if rng.random() < p]
+        g = Graph(ids, edges)
+        lines.append(f"{sorted(max_independent_set(g))} {independence_number(g)}")
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "17d75c42bfdde49dd410592b6a0967f7690ddb196cc4222410523f585fe862f3"
 
 
 @given(graphs())
