@@ -23,10 +23,12 @@ Exit codes:
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import sys
 from dataclasses import asdict
+from pathlib import Path
 from typing import Iterator
 
 from . import __version__
@@ -40,9 +42,10 @@ from .errors import (
     ParseError,
     ResourceLimitExceeded,
 )
-from .formats import dense_ids, load_graph, save_graph, sha256_of_file, write_edge_list
+from .formats import dense_ids, parse_graph, save_graph, sha256_of_file, write_edge_list
 from .generators import (
     GenSpec,
+    certify,
     clique_paste,
     complete_multipartite,
     filtered_random,
@@ -97,6 +100,13 @@ def _parse_blocks(raw: str) -> tuple[tuple[int, ...], ...]:
     return tuple(_parse_parts(chunk) for chunk in raw.split(";") if chunk.strip())
 
 
+def _read_input(path: str) -> tuple[Graph, str]:
+    """The graph in the file and the sha256 of the bytes it was parsed
+    from; the file is read once, so a pipe such as /dev/stdin works."""
+    data = Path(path).read_bytes()
+    return parse_graph(data.decode()), hashlib.sha256(data).hexdigest()
+
+
 # ---------------------------------------------------------------- color
 
 
@@ -146,7 +156,7 @@ def cmd_color(args) -> Report:
         raise ValueError("--delta and --alpha must be given together")
     if args.delta is not None and args.mode == "conjectured":
         raise ValueError("--delta/--alpha overrides conflict with --mode conjectured")
-    g = load_graph(args.path)
+    g, digest = _read_input(args.path)
     if args.delta is not None:
         delta, alpha = args.delta, args.alpha
     else:
@@ -154,7 +164,7 @@ def cmd_color(args) -> Report:
         delta, alpha = row.delta, row.alpha
     config = {
         "input": args.path,
-        "input_sha256": sha256_of_file(args.path),
+        "input_sha256": digest,
         "t": args.t,
         "mode": args.mode,
         "delta": delta,
@@ -207,10 +217,10 @@ def cmd_color(args) -> Report:
 
 
 def cmd_check_minor(args) -> Report:
-    g = load_graph(args.path)
+    g, digest = _read_input(args.path)
     config = {
         "input": args.path,
-        "input_sha256": sha256_of_file(args.path),
+        "input_sha256": digest,
         "t": args.t,
         "cap": args.cap,
     }
@@ -314,27 +324,27 @@ def cmd_gen(args) -> Report:
 # ------------------------------------------------------- search-mindegree
 
 
-def _conjecture_corpus(t: int, seed: int) -> Iterator[tuple[str, Graph, int, str]]:
+def _conjecture_corpus(t: int, seed: int) -> Iterator[tuple[str, Graph, str]]:
     """Named graphs relevant to the minimum-degree conjecture for order
-    t+1, each with the clique-minor order it is known to exclude and how
-    that exclusion gets certified (clique pastes of minor-free blocks are
-    minor-free by construction; blocks are small enough for the oracle)."""
+    t+1, each with how its exclusion of that minor gets certified (clique
+    pastes of minor-free blocks are minor-free by construction; blocks are
+    small enough for the oracle)."""
     if t == 6:
-        yield "K_{1,2,2,2,2}", complete_multipartite((1, 2, 2, 2, 2)), 7, "oracle"
+        yield "K_{1,2,2,2,2}", complete_multipartite((1, 2, 2, 2, 2)), "oracle"
         yield "planar_triangulation_n12", generate(
             GenSpec("planar_triangulation", n=12, seed=seed)
-        ), 7, "oracle"
+        ), "oracle"
     elif t == 7:
-        yield "K_{2,2,2,2,2}", complete_multipartite((2, 2, 2, 2, 2)), 8, "oracle"
+        yield "K_{2,2,2,2,2}", complete_multipartite((2, 2, 2, 2, 2)), "oracle"
         yield "paste_2xK_{2,2,2,2,2}_on_5cliques", clique_paste(
             ((2, 2, 2, 2, 2), (2, 2, 2, 2, 2)), 5, seed
-        ), 8, "construction"
+        ), "construction"
     elif t == 8:
-        yield "K_{2,2,2,3,3}", complete_multipartite((2, 2, 2, 3, 3)), 9, "oracle"
-        yield "K_{1,2,2,2,2,2}", complete_multipartite((1, 2, 2, 2, 2, 2)), 9, "oracle"
+        yield "K_{2,2,2,3,3}", complete_multipartite((2, 2, 2, 3, 3)), "oracle"
+        yield "K_{1,2,2,2,2,2}", complete_multipartite((1, 2, 2, 2, 2, 2)), "oracle"
         yield "paste_2xK_{1,2,2,2,2,2}_on_6cliques", clique_paste(
             ((1, 2, 2, 2, 2, 2), (1, 2, 2, 2, 2, 2)), 6, seed
-        ), 9, "construction"
+        ), "construction"
     else:
         raise ValueError("conjecture search supports t in {6, 7, 8}")
 
@@ -342,7 +352,6 @@ def _conjecture_corpus(t: int, seed: int) -> Iterator[tuple[str, Graph, int, str
 def cmd_search_mindegree(args) -> Report:
     t = args.t
     conjectured_delta = table_row(t, "conjectured").delta
-    cap = args.cap
     config = {
         "t": t,
         "mode": args.mode,
@@ -351,24 +360,17 @@ def cmd_search_mindegree(args) -> Report:
         "samples": args.samples,
         "n_min": args.n_min,
         "n_max": args.n_max,
-        "cap": cap,
+        "cap": args.cap,
     }
-    entries = []
-    counterexamples = []
-
+    # (label, graph, entry, certified) of every graph the report lists
+    probed = []
     if args.mode == "corpus":
-        for name, g, known_order, how in _conjecture_corpus(t, args.seed):
-            if how == "oracle":
-                certified = has_clique_minor(g, t + 1, cap=cap) is None
-            else:
-                certified = known_order <= t + 1
+        for name, g, how in _conjecture_corpus(t, args.seed):
+            certified = how == "construction" or certify(g, t + 1, cap=args.cap)
             _, mindeg = min_degree_vertex(g)
-            if certified and mindeg > conjectured_delta:
-                status = "counterexample"
-            elif certified and mindeg == conjectured_delta:
-                status = "tight"
-            else:
-                status = "ok"
+            status = "ok"
+            if certified and mindeg >= conjectured_delta:
+                status = "tight" if mindeg == conjectured_delta else "counterexample"
             entry = {
                 "name": name,
                 "n": g.n,
@@ -376,20 +378,20 @@ def cmd_search_mindegree(args) -> Report:
                 "min_degree": mindeg,
                 "certified_minor_free": certified,
                 "certified_by": how,
-                "known_excluded_order": known_order,
+                "known_excluded_order": t + 1,
                 "status": status,
             }
-            entries.append(entry)
-            if status == "counterexample":
-                counterexamples.append({"entry": entry, "edge_list": write_edge_list(g)})
+            probed.append((name, g, entry, certified))
     else:
         if args.n_min > args.n_max or args.n_min < 1:
             raise ValueError("need 1 <= n-min <= n-max")
+        if args.samples < 1:
+            raise ValueError("need samples >= 1")
         max_seen = -1
         for index in range(args.samples):
             child_seed = args.seed * 1_000_003 + index
             rng_n = args.n_min + (child_seed % (args.n_max - args.n_min + 1))
-            g = filtered_random(rng_n, child_seed, t + 1, oracle_cap=cap)
+            g = filtered_random(rng_n, child_seed, t + 1, oracle_cap=args.cap)
             _, mindeg = min_degree_vertex(g)
             max_seen = max(max_seen, mindeg)
             if mindeg > conjectured_delta:
@@ -400,41 +402,40 @@ def cmd_search_mindegree(args) -> Report:
                     "min_degree": mindeg,
                     "status": "counterexample",
                 }
-                entries.append(entry)
-                counterexamples.append({"entry": entry, "edge_list": write_edge_list(g)})
-        entries.append(
-            {
-                "name": "summary",
-                "samples": args.samples,
-                "max_min_degree_seen": max_seen,
-                "status": "summary",
-            }
-        )
+                probed.append((f"sample {index}", g, entry, True))
 
+    entries = []
+    counterexamples = []
+    text = [
+        f"minimum-degree conjecture check for order {t + 1} "
+        f"(conjectured delta={conjectured_delta}, mode={args.mode})"
+    ]
+    for label, g, entry, certified in probed:
+        entries.append(entry)
+        text.append(
+            f"  {label}: n={g.n} m={g.m} min_degree={entry['min_degree']} "
+            f"{'certified' if certified else 'not-certified'} [{entry['status']}]"
+        )
+        if entry["status"] == "counterexample":
+            counterexamples.append({"entry": entry, "edge_list": write_edge_list(g)})
+    if args.mode == "random":
+        summary = {
+            "name": "summary",
+            "samples": args.samples,
+            "max_min_degree_seen": max_seen,
+            "status": "summary",
+        }
+        entries.append(summary)
+        text.append(f"  summary: {json.dumps(summary, sort_keys=True)}")
+    for ce in counterexamples:
+        text += ["counterexample graph:", ce["edge_list"].rstrip("\n")]
+    if not counterexamples:
+        text.append("no counterexample found")
     result = {
         "entries": entries,
         "counterexamples": counterexamples,
         "conjecture_holds_on_inputs": not counterexamples,
     }
-    text = [
-        f"minimum-degree conjecture check for order {t + 1} "
-        f"(conjectured delta={conjectured_delta}, mode={args.mode})"
-    ]
-    for e in entries:
-        if e.get("status") == "summary":
-            text.append(f"  summary: {json.dumps(e, sort_keys=True)}")
-        else:
-            label = e.get("name", f"sample {e.get('index')}")
-            text.append(
-                f"  {label}: n={e['n']} m={e['m']} min_degree={e['min_degree']} "
-                f"{'certified' if e.get('certified_minor_free', True) else 'not-certified'} "
-                f"[{e['status']}]"
-            )
-    for ce in counterexamples:
-        text.append("counterexample graph:")
-        text.append(ce["edge_list"].rstrip("\n"))
-    if not counterexamples:
-        text.append("no counterexample found")
     code = EXIT_COUNTEREXAMPLE if counterexamples else EXIT_OK
     return code, config, result, text
 

@@ -9,7 +9,7 @@ delta-vertex neighborhood graphs.  The recursion:
 2. Take a minimum-degree vertex v (degree d; d > delta is a premise
    violation and raises MinDegreeExceeded).
 3. d = 0: solve without v, then give v the color of the smallest-id
-   colored vertex (color 0 if none).
+   colored vertex.
 4. Otherwise find a maximum independent set T inside the neighborhood
    graph of v (|T| < alpha - delta + d raises IndependenceShortfall),
    merge {v} union T into one vertex z, and solve the merged graph.
@@ -177,7 +177,9 @@ def _descend_and_lift(
     """The descent peels adj in place down to at most one vertex: each step
     takes the minimum-degree vertex v of degree d, deletes it when d = 0 and
     otherwise merges it with choose(v, d, adj).  The lift colors what is
-    left with 0 and undoes the steps in reverse order."""
+    left with 0 and undoes the steps in reverse order.  A contraction only
+    adds ids above its z, which is colored already, so the lowest colored
+    id changes only when an isolated vertex comes back."""
     peel = _Peel(adj)
     pending = []
     while len(adj) > 1:
@@ -192,10 +194,12 @@ def _descend_and_lift(
         pending.append((v, d, chosen, z, nbrs))
 
     assignment: dict[int, int] = {v: 0 for v in adj}
+    lowest = next(iter(adj), None)
     steps: list[TraceStep] = []
     for v, d, chosen, z, nbrs in reversed(pending):
         if d == 0:
-            color = assignment[min(assignment)] if assignment else 0
+            color = assignment[lowest]
+            lowest = min(lowest, v)
         else:
             merged_color = assignment[z]
             for u in chosen:

@@ -1,8 +1,13 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import minorcolor
 from minorcolor import (
     Graph,
     MinorModel,
@@ -11,6 +16,7 @@ from minorcolor import (
     save_graph,
     validate_model,
 )
+from minorcolor import bounds
 from minorcolor.cli import main
 from minorcolor.formats import parse_edge_list
 from minorcolor.generators import GenSpec, clique_paste, generate
@@ -482,6 +488,83 @@ def test_cli_stdout_golden(tmp_path, monkeypatch, capsys, argv, code, digest):
     got_code, out, _ = run(capsys, *argv)
     assert got_code == code
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# Golden sha256 of stdout plus the exit code of the minimum-degree probe in
+# both modes and both formats.  The real conjectured rows have no
+# counterexample on these inputs, so the last three lower the row (a
+# construction-certified paste among them) to reach the counterexample
+# report and exit 7.
+PROBE_RANDOM = ("--mode", "random", "--samples", "6", "--n-min", "7", "--n-max", "9")
+
+PROBE_CASES = [
+    ("t6", ("--t", "6"), {}, 0, (
+        "620bf206a7bc21254a5e2335fcb13baaad3fee8ae750acdb2d96ae0a5a57df5c",
+        "02c371d80d6c982d0ab40bd678153f3b872dbc06c18fd605367a1dd131b0869d",
+    )),
+    ("t8", ("--t", "8"), {}, 0, (
+        "48c3298f7e256a31cf431201b84d753ac772951ed590f34d599212b1b08f057c",
+        "fd2eaa5c9f9f044624064c50ee5c45e92ab1a928b3c321fafc3dc1983e2020cb",
+    )),
+    ("t6-random", ("--t", "6", *PROBE_RANDOM), {}, 0, (
+        "e55f9d281bf1406ddb3152e38ad8483a8353ad58035bbfc8efc3498e1c88575c",
+        "258b634227d38a213dea4ca91aa8ffb09b78e71615b922cc084b32ae304e9c69",
+    )),
+    ("t6-forced", ("--t", "6"), {6: 2}, 7, (
+        "2816bdca07376dd62b82ce58e9f860da439369522505bb2f0504355d45e12d02",
+        "d3d818fd81be9a0bfc030e11c87ca37f50d6188bb98e4e8d97e88fa39596102f",
+    )),
+    ("t7-forced", ("--t", "7"), {7: 3}, 7, (
+        "fb4c3b05092186a5297068902e7d316f30aaef494cafa943690d7ba73a0527cd",
+        "de5408d933cb7ea4b84c890dfe4923cad71d2ad138da2f431638aa46c80f3e06",
+    )),
+    ("t6-random-forced", ("--t", "6", *PROBE_RANDOM), {6: 3}, 7, (
+        "c65bdeaad387f47633f3fcfcfef76051e0de05c421aa1e6183c79b4265110686",
+        "36dc9b2c66a9b2292890d93594e6656cd9f39dce968960230fc29c24e56a42a2",
+    )),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, forced, code, digest",
+    [
+        (case[1] + ("--format", fmt), case[2], case[3], digest)
+        for case in PROBE_CASES
+        for fmt, digest in zip(("text", "structured"), case[4])
+    ],
+    ids=[f"{case[0]}-{fmt}" for case in PROBE_CASES for fmt in ("text", "structured")],
+)
+def test_search_mindegree_golden(monkeypatch, capsys, argv, forced, code, digest):
+    for t, delta in forced.items():
+        monkeypatch.setitem(bounds.CONJECTURED_DELTA, t, delta)
+    got_code, out, _ = run(capsys, "search-mindegree", *argv)
+    assert got_code == code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_search_mindegree_rejects_samples_below_one(capsys, samples):
+    code, out, err = run(
+        capsys, "search-mindegree", "--t", "6", "--mode", "random", "--samples", samples
+    )
+    assert code == 3
+    assert out == ""
+    assert "samples" in err
+
+
+def test_input_sha256_is_the_digest_of_the_bytes_parsed(tmp_path):
+    # a pipe can be read only once, so a second read for the hash sees nothing
+    path = tmp_path / "petersen.el"
+    save_graph(petersen(), path)
+    env = dict(os.environ, PYTHONPATH=str(Path(minorcolor.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "minorcolor.cli", "check-minor", "--t", "3",
+         "--format", "structured", "/dev/stdin"],
+        input=path.read_bytes(), capture_output=True, env=env, check=True,
+    )
+    payload = json.loads(proc.stdout)
+    assert payload["result"]["found"] is True
+    assert payload["input_sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,5 @@
+import hashlib
+import random
 from dataclasses import replace
 
 import pytest
@@ -9,6 +11,7 @@ from minorcolor import (
     IndependenceShortfall,
     MinDegreeExceeded,
     MinorAuditFailed,
+    MinorColorError,
     color_by_contraction,
     elimination_order,
     greedy_degeneracy_color,
@@ -114,6 +117,35 @@ def test_single_vertex_and_empty():
     report = color_by_contraction(Graph(()), 2, 1, 1)
     assert report.coloring.assignment == {}
     assert report.colors_used == 0
+
+
+def test_lift_golden():
+    """Pins the traces and colorings of sparse graphs with isolated
+    vertices and id gaps, each at t = 2, 3 and 4, so the lift must give
+    every isolated vertex the color of the lowest id colored before it.
+    A premise violation is pinned by its type."""
+    rng = random.Random(15)
+    lines = []
+    for _ in range(300):
+        n = rng.randint(2, 40)
+        ids = sorted(rng.sample(range(64), n))
+        p = rng.uniform(0.0, 3.0 / n)
+        edges = [(u, v) for i, u in enumerate(ids) for v in ids[i + 1 :] if rng.random() < p]
+        g = Graph(ids, edges)
+        for t in (2, 3, 4):
+            row = table_row(t)
+            try:
+                report = color_by_contraction(g, t, row.delta, row.alpha)
+            except MinorColorError as exc:
+                lines.append(type(exc).__name__)
+                continue
+            steps = [
+                (s.vertex, s.degree, sorted(s.independent_set), s.merged_vertex, s.color)
+                for s in report.trace.steps
+            ]
+            lines.append(f"{sorted(report.coloring.assignment.items())} {steps}")
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "fb5ef9d218830ddba3061094a5f39c2f5321cbe7c91383cc17947f6ed7e7f8d5"
 
 
 def test_trace_records_and_replays():
