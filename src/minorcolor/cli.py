@@ -7,7 +7,9 @@ nothing; ``main`` prints the one report: the text lines, or with
 --format structured a JSON envelope carrying the tool version, the
 command, the echoed run configuration, the input file hash and the
 result, so identical runs are byte-identical.  ``main`` also maps every
-error to its exit code, with a one-line message on stderr.
+error to its exit code, with a one-line message on stderr.  The argument
+parser is built on the first call of ``main`` and reused for the rest of
+the process.
 
 Exit codes:
   0  success (including "no minor" / "no counterexample")
@@ -23,6 +25,7 @@ Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -42,7 +45,7 @@ from .errors import (
     ParseError,
     ResourceLimitExceeded,
 )
-from .formats import dense_ids, parse_graph, save_graph, sha256_of_file, write_edge_list
+from .formats import dense_ids, parse_graph, write_edge_list
 from .generators import (
     GenSpec,
     certify,
@@ -302,7 +305,10 @@ def cmd_gen(args) -> Report:
         oracle_cap=args.cap,
     )
     g = generate(spec)
-    save_graph(g, args.out)
+    data = write_edge_list(g).encode()
+    # hash the bytes written: reading --out back would block on a pipe
+    with open(args.out, "wb") as fh:
+        fh.write(data)
     # the sidecar leaves out the oracle cap: it can make gen fail, never
     # change the graph
     spec_echo = asdict(spec)
@@ -311,13 +317,19 @@ def cmd_gen(args) -> Report:
         "tool": "minorcolor",
         "version": __version__,
         "spec": spec_echo,
-        "result": {"n": g.n, "m": g.m, "sha256": sha256_of_file(args.out)},
+        "result": {"n": g.n, "m": g.m, "sha256": hashlib.sha256(data).hexdigest()},
     }
-    meta_path = args.out + ".meta.json"
-    with open(meta_path, "w") as fh:
-        json.dump(meta, fh, sort_keys=True, indent=2)
-        fh.write("\n")
-    text = [f"wrote {args.out} (family={spec.family}, n={g.n}, m={g.m})", f"meta: {meta_path}"]
+    text = [f"wrote {args.out} (family={spec.family}, n={g.n}, m={g.m})"]
+    # a pipe or a device has no place beside it for a sidecar
+    if os.path.isfile(args.out):
+        meta_path = args.out + ".meta.json"
+        with open(meta_path, "w") as fh:
+            json.dump(meta, fh, sort_keys=True, indent=2)
+            fh.write("\n")
+        text.append(f"meta: {meta_path}")
+    else:
+        meta_path = None
+        text.append("meta: not written (--out is not a regular file)")
     return EXIT_OK, {"out": args.out, "meta": meta_path}, meta, text
 
 
@@ -443,7 +455,10 @@ def cmd_search_mindegree(args) -> Report:
 # ------------------------------------------------------------------- main
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand; built once, since it holds nothing
+    that depends on the environment."""
     parser = argparse.ArgumentParser(
         prog="minorcolor",
         description="coloring and exact minor testing for clique-minor-free graphs",

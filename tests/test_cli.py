@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -354,6 +355,75 @@ def test_version_flag(capsys):
     assert exc.value.code == 0
 
 
+# Golden sha256 of what argparse prints, with the exit code, for usage
+# errors and --version, at a fixed terminal width.  The parser is built
+# once per process, so these pin that reusing it prints what a fresh one
+# did.
+USAGE_CASES = [
+    ("no-command", (), 2, "err",
+     "80fb0ff3222bd7bf6fa4edd5b017aae2d5508aada7a6956ba44ec986a6befc77"),
+    ("color-missing-args", ("color",), 2, "err",
+     "ee4e72a61602ee8c4177230e281bb589a6b3688a9a038fe31941c6cf9fccd071"),
+    ("color-bad-t", ("color", "g.el", "--t", "x"), 2, "err",
+     "13da0231b438a30c4086fadb414695408ca9f2270866c597d5f9a3eb91d0b788"),
+    ("check-minor-negative-cap", ("check-minor", "g.el", "--t", "5", "--cap", "-1"), 2, "err",
+     "8e5466b662fe49c38346c93c7442224a2319305daf65920dfc726d8a37772f5e"),
+    ("unknown-command", ("bogus",), 2, "err",
+     "8259511273259782c1f7de5a264fe9f2faafaad36597c870f44b603df623ad0e"),
+    ("version", ("--version",), 0, "out",
+     "496f542d05c58d18b65202fb9229815680f16b5758b8ae65e5cd61e5ea21bdd9"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, code, stream, digest",
+    [case[1:] for case in USAGE_CASES],
+    ids=[case[0] for case in USAGE_CASES],
+)
+def test_usage_error_golden(monkeypatch, capsys, argv, code, stream, digest):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == code
+    captured = capsys.readouterr()
+    printed, other = (captured.err, captured.out) if stream == "err" else (captured.out, captured.err)
+    assert other == ""
+    assert hashlib.sha256(printed.encode()).hexdigest() == digest
+
+
+def test_calls_in_one_process_share_no_state(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("MINORCOLOR_ORACLE_CAP", raising=False)
+    save_graph(Graph.cycle(5), "five.el")
+    save_graph(generate(GenSpec("planar_triangulation", n=10, seed=1)), "tri.el")
+
+    def config(*argv):
+        code, out, _ = run(capsys, *argv, "--format", "structured")
+        assert code == 0
+        return json.loads(out)["config"]
+
+    # an option given once does not stick to the parser
+    assert config("check-minor", "--t", "3", "--cap", "5", "five.el")["cap"] == 5
+    assert config("check-minor", "--t", "3", "five.el")["cap"] == 40
+    assert config("color", "--t", "4", "--audit", "tri.el")["audit"] is True
+    assert config("color", "--t", "4", "tri.el")["audit"] is False
+    # the environment is read on every call
+    monkeypatch.setenv("MINORCOLOR_ORACLE_CAP", "7")
+    assert config("check-minor", "--t", "3", "five.el")["cap"] == 7
+    # and so is the terminal width, when a usage error is printed
+    widths = []
+    for columns in ("80", "200"):
+        monkeypatch.setenv("COLUMNS", columns)
+        with pytest.raises(SystemExit):
+            main(["color"])
+        widths.append(max(len(line) for line in capsys.readouterr().err.splitlines()[:-1]))
+    assert widths[0] <= 80 < widths[1]
+    # a usage error leaves nothing behind for the next call
+    code, out, _ = run(capsys, "check-minor", "--t", "3", "five.el")
+    assert code == 0
+    assert "FOUND" in out
+
+
 # Golden sha256 of stdout plus the exit code for one invocation of every
 # subcommand, both formats, and every finding exit code of `color`. The
 # inputs are written into the working directory, so the echoed paths are
@@ -565,6 +635,33 @@ def test_input_sha256_is_the_digest_of_the_bytes_parsed(tmp_path):
     payload = json.loads(proc.stdout)
     assert payload["result"]["found"] is True
     assert payload["input_sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_gen_to_a_pipe_hashes_the_bytes_written_and_skips_the_sidecar(tmp_path):
+    # reading --out back to hash it would wait forever on the pipe
+    fifo = tmp_path / "graph.pipe"
+    os.mkfifo(fifo)
+    drained = []
+    reader = threading.Thread(target=lambda: drained.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    env = dict(os.environ, PYTHONPATH=str(Path(minorcolor.__file__).parents[1]))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "minorcolor.cli", "gen", "--family", "forest",
+             "--n", "5", "--out", str(fifo), "--format", "structured"],
+            capture_output=True, env=env, timeout=20,
+        )
+    finally:
+        if reader.is_alive():  # the writer never came: let the reader see EOF
+            os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+        reader.join(timeout=5)
+    assert not reader.is_alive()
+    assert proc.returncode == 0, proc.stderr
+    payload = json.loads(proc.stdout)
+    assert payload["config"]["meta"] is None
+    assert payload["result"]["result"]["sha256"] == hashlib.sha256(drained[0]).hexdigest()
+    assert parse_edge_list(drained[0].decode()).n == 5
+    assert not (tmp_path / "graph.pipe.meta.json").exists()
 
 
 @pytest.mark.parametrize(
