@@ -8,9 +8,11 @@ The corpora are built by `bench/corpus.build` and each call goes through
 `minorcolor.cli.main` in-process.  Everything runs inside a fresh temporary
 directory with relative paths, so the paths the program echoes are the same
 for every checkout.  One line per call: workload, call name, exit code,
-sha256 of stdout, then `file=sha256` for each file the call wrote.  Two
-checkouts behave byte-identically on the corpora iff `diff` of their output
-is empty.
+sha256 of stdout, then `file=sha256` for each file the call wrote.  Each
+`color` and `check-minor` call runs a second time on a DIMACS copy of its
+input, written here from the edge list, so both readers are covered; its
+line names the call with a `.col` suffix.  Two checkouts behave
+byte-identically on the corpora iff `diff` of their output is empty.
 """
 
 from __future__ import annotations
@@ -38,6 +40,25 @@ def _files() -> dict[str, str]:
     return {str(p): _digest(p.read_bytes()) for p in sorted(Path().rglob("*")) if p.is_file()}
 
 
+def _dimacs_copy(path: Path) -> Path:
+    """Write the edge list at path as DIMACS `.col` beside it, 1-based."""
+    n, edges = corpus.read_edge_list(str(path))
+    lines = [f"c copy of {path.name}", f"p edge {n} {len(edges)}"]
+    lines += [f"e {u + 1} {v + 1}" for u, v in edges]
+    copy = path.with_suffix(".col")
+    copy.write_text("\n".join(lines) + "\n")
+    return copy
+
+
+def _run(main, workload: str, name: str, argv: list[str]) -> None:
+    before = _files()
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    written = [f"{p}={d}" for p, d in _files().items() if before.get(p) != d]
+    print(workload, name, code, _digest(out.getvalue().encode()), *written)
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 2:
         print("usage: stdout_digest.py SRC SEED", file=sys.stderr)
@@ -55,12 +76,11 @@ def main(argv: list[str]) -> int:
             workdir = Path(workload)
             workdir.mkdir()
             for call in corpus.build(workload, seed, workdir):
-                before = _files()
-                out = io.StringIO()
-                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-                    code = cli.main(list(call.argv))
-                written = [f"{p}={d}" for p, d in _files().items() if before.get(p) != d]
-                print(workload, call.name, code, _digest(out.getvalue().encode()), *written)
+                _run(cli.main, workload, call.name, list(call.argv))
+                if call.kind in ("color", "minor"):
+                    copy = str(_dimacs_copy(Path(call.path)))
+                    argv_col = [copy if a == call.path else a for a in call.argv]
+                    _run(cli.main, workload, call.name + ".col", argv_col)
         os.chdir(home)
     return 0
 

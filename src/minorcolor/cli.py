@@ -304,6 +304,14 @@ def cmd_gen(args) -> Report:
         max_rejects=args.max_rejects,
         oracle_cap=args.cap,
     )
+    # `gen --out F > F`: opening F would empty it, and the report printed
+    # from offset 0 would then overwrite the edge list
+    try:
+        same = os.path.samestat(os.stat(args.out), os.fstat(sys.stdout.fileno()))
+    except OSError:  # --out does not exist yet, or stdout has no descriptor
+        same = False
+    if same:
+        raise ValueError(f"--out {args.out} is the file stdout writes to")
     g = generate(spec)
     data = write_edge_list(g).encode()
     # hash the bytes written: reading --out back would block on a pipe

@@ -3,12 +3,16 @@
 Two text formats are understood:
 
 * edge list: a header line ``n m`` followed by exactly m lines ``u v``
-  with 0-based vertex ids.  This is the canonical output format; writers
-  emit edges ascending as (u, v) with u < v.
+  with 0-based vertex ids; an edge given twice is an error.  This is the
+  canonical output format; writers emit edges ascending as (u, v), u < v.
 * DIMACS ``.col``: ``c`` comment lines, one ``p edge n m`` line, then
   exactly m ``e u v`` lines with 1-based ids.  Accepted on read and
   converted; an edge given twice (in either order) counts towards m but
   is kept once.
+
+One loop reads both, and they differ only where it sorts a content line
+into header or edge: a DIMACS line names its kind, an edge list's first
+content line is its header.  Numbers are plain ASCII decimal, ``-`` allowed.
 """
 
 from __future__ import annotations
@@ -19,108 +23,84 @@ from pathlib import Path
 from .errors import ParseError
 from .graph import Graph
 
+# (dimacs, header) -> message for a line of the wrong shape, then for one
+# whose numbers are not plain decimal; {!r} is the stripped line
+_MALFORMED = {
+    (False, True): ("expected header 'n m'", "expected integer header 'n m'"),
+    (False, False): ("expected edge 'u v', got {!r}", "non-integer edge endpoints {!r}"),
+    (True, True): ("malformed problem line {!r}",) * 2,
+    (True, False): ("malformed edge line {!r}",) * 2,
+}
+
+
+def _read(text: str, dimacs: bool | None) -> Graph:
+    """The one reader; with dimacs None the first content line decides."""
+    n = m = None
+    given = 0
+    for i, raw in enumerate(text.splitlines(), 1):
+        fields = raw.split()
+        if not fields:
+            continue
+        if dimacs is None:
+            dimacs = fields[0][0] in "cp"
+        if not dimacs:
+            header, ok = n is None, len(fields) == 2
+        elif fields[0][0] == "c":
+            continue
+        elif fields[0] == "p":
+            if n is not None:
+                raise ParseError("duplicate problem line", line=i)
+            header, ok = True, len(fields) == 4 and fields[1] in ("edge", "col")
+            del fields[:2]
+        elif fields[0] == "e":
+            if n is None:
+                raise ParseError("edge line before problem line", line=i)
+            header, ok = False, len(fields) == 3
+            del fields[0]
+        else:
+            raise ParseError(f"unrecognized line {raw.strip()!r}", line=i)
+        try:  # int() alone would also take 1_0, +0 and non-ASCII digits
+            if not (ok and "".join(fields).isascii()) or "_" in raw or "+" in raw:
+                raise ValueError
+            a, b = int(fields[0]), int(fields[1])
+        except ValueError:  # also a number too long for int()
+            raise ParseError(_MALFORMED[dimacs, header][ok].format(raw.strip()), line=i) from None
+        if header:
+            if a < 0 or b < 0:
+                raise ParseError("negative counts in header", line=i)
+            n, m, lo = a, b, (1 if dimacs else 0)
+            adj = dict.fromkeys(range(n), 0)
+            continue
+        u, v = a - lo, b - lo
+        if u == v:
+            raise ParseError(f"self-loop at vertex {a}", line=i)
+        if not (0 <= u < n and 0 <= v < n):
+            raise ParseError(f"edge ({a}, {b}) outside vertex range {lo}..{n - 1 + lo}", line=i)
+        if not adj[u] >> v & 1:
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+        elif not dimacs:
+            raise ParseError(f"duplicate edge ({a}, {b})", line=i)
+        given += 1
+    if n is None:
+        raise ParseError("missing problem line" if dimacs else "empty input")
+    if given != m:
+        raise ParseError(f"header promised {m} edges but {given} were given")
+    return Graph._from_adj(adj)
+
 
 def parse_edge_list(text: str) -> Graph:
-    lines = text.splitlines()
-    header_idx = None
-    for i, line in enumerate(lines):
-        if line.strip():
-            header_idx = i
-            break
-    if header_idx is None:
-        raise ParseError("empty input")
-    parts = lines[header_idx].split()
-    if len(parts) != 2:
-        raise ParseError("expected header 'n m'", line=header_idx + 1)
-    try:
-        n, m = int(parts[0]), int(parts[1])
-    except ValueError:
-        raise ParseError("expected integer header 'n m'", line=header_idx + 1) from None
-    if n < 0 or m < 0:
-        raise ParseError("negative counts in header", line=header_idx + 1)
-
-    edges: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
-    for i in range(header_idx + 1, len(lines)):
-        line = lines[i].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise ParseError(f"expected edge 'u v', got {line!r}", line=i + 1)
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise ParseError(f"non-integer edge endpoints {line!r}", line=i + 1) from None
-        if u == v:
-            raise ParseError(f"self-loop at vertex {u}", line=i + 1)
-        if not (0 <= u < n and 0 <= v < n):
-            raise ParseError(f"edge ({u}, {v}) outside vertex range 0..{n - 1}", line=i + 1)
-        key = (min(u, v), max(u, v))
-        if key in seen:
-            raise ParseError(f"duplicate edge ({u}, {v})", line=i + 1)
-        seen.add(key)
-        edges.append(key)
-    if len(edges) != m:
-        raise ParseError(f"header promised {m} edges but {len(edges)} were given")
-    return Graph(range(n), edges, max_vertices=max(64, n))
+    return _read(text, dimacs=False)
 
 
 def parse_dimacs(text: str) -> Graph:
-    n = m = None
-    given = 0
-    edges: set[tuple[int, int]] = set()
-    for i, raw in enumerate(text.splitlines()):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        parts = line.split()
-        if parts[0] == "p":
-            if n is not None:
-                raise ParseError("duplicate problem line", line=i + 1)
-            if len(parts) != 4 or parts[1] not in ("edge", "col"):
-                raise ParseError(f"malformed problem line {line!r}", line=i + 1)
-            try:
-                n, m = int(parts[2]), int(parts[3])
-            except ValueError:
-                raise ParseError(f"malformed problem line {line!r}", line=i + 1) from None
-            if n < 0 or m < 0:
-                raise ParseError("negative counts in header", line=i + 1)
-        elif parts[0] == "e":
-            if n is None:
-                raise ParseError("edge line before problem line", line=i + 1)
-            if len(parts) != 3:
-                raise ParseError(f"malformed edge line {line!r}", line=i + 1)
-            try:
-                u, v = int(parts[1]) - 1, int(parts[2]) - 1
-            except ValueError:
-                raise ParseError(f"malformed edge line {line!r}", line=i + 1) from None
-            if u == v:
-                raise ParseError(f"self-loop at vertex {u + 1}", line=i + 1)
-            if not (0 <= u < n and 0 <= v < n):
-                raise ParseError(f"edge outside vertex range 1..{n}", line=i + 1)
-            edges.add((min(u, v), max(u, v)))
-            given += 1
-        else:
-            raise ParseError(f"unrecognized line {line!r}", line=i + 1)
-    if n is None:
-        raise ParseError("missing problem line")
-    if given != m:
-        raise ParseError(f"header promised {m} edges but {given} were given")
-    return Graph(range(n), sorted(edges), max_vertices=max(64, n))
+    return _read(text, dimacs=True)
 
 
 def parse_graph(text: str) -> Graph:
     """Auto-detect the format: DIMACS if the first content line starts with
     'c' or 'p', edge list otherwise."""
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line:
-            continue
-        if line[0] in ("c", "p"):
-            return parse_dimacs(text)
-        return parse_edge_list(text)
-    raise ParseError("empty input")
+    return _read(text, dimacs=None)
 
 
 def load_graph(path: str | Path) -> Graph:

@@ -664,6 +664,22 @@ def test_gen_to_a_pipe_hashes_the_bytes_written_and_skips_the_sidecar(tmp_path):
     assert not (tmp_path / "graph.pipe.meta.json").exists()
 
 
+def test_gen_refuses_an_out_that_is_its_own_stdout(tmp_path):
+    # `gen --out F > F` would leave F holding the report, not the graph
+    target = tmp_path / "graph.el"
+    env = dict(os.environ, PYTHONPATH=str(Path(minorcolor.__file__).parents[1]))
+    with open(target, "w") as stdout:
+        proc = subprocess.run(
+            [sys.executable, "-m", "minorcolor.cli", "gen", "--family", "forest",
+             "--n", "6", "--out", str(target)],
+            stdout=stdout, stderr=subprocess.PIPE, env=env, timeout=20,
+        )
+    assert proc.returncode == 3
+    assert proc.stderr.decode().startswith("error: ")
+    assert target.read_bytes() == b""
+    assert not (tmp_path / "graph.el.meta.json").exists()
+
+
 @pytest.mark.parametrize(
     "argv",
     [
