@@ -11,7 +11,9 @@ for every checkout.  One line per call: workload, call name, exit code,
 sha256 of stdout, then `file=sha256` for each file the call wrote.  Each
 `color` and `check-minor` call runs a second time on a DIMACS copy of its
 input, written here from the edge list, so both readers are covered; its
-line names the call with a `.col` suffix.  Two checkouts behave
+line names the call with a `.col` suffix.  Each such call also runs once more
+on the edge list with `--format text`, so the text renderer is covered too;
+that line names the call with a `.text` suffix.  Two checkouts behave
 byte-identically on the corpora iff `diff` of their output is empty.
 """
 
@@ -81,6 +83,8 @@ def main(argv: list[str]) -> int:
                     copy = str(_dimacs_copy(Path(call.path)))
                     argv_col = [copy if a == call.path else a for a in call.argv]
                     _run(cli.main, workload, call.name + ".col", argv_col)
+                    argv_text = ["text" if a == "structured" else a for a in call.argv]
+                    _run(cli.main, workload, call.name + ".text", argv_text)
         os.chdir(home)
     return 0
 

@@ -2,10 +2,12 @@
 graphs with excluded clique minors."""
 
 from .bounds import (
+    EXTREMAL_EDGE_BOUNDS,
     BoundRow,
     EdgeBound,
     best_closed_form_chi,
     delta_from_edge_bound,
+    edge_count_forces_minor,
     full_table,
     table_row,
     chi_upper_bound_b,
@@ -49,13 +51,7 @@ from .indep import (
     independence_guarantee,
     max_independent_set,
 )
-from .minor import (
-    EXTREMAL_EDGE_BOUNDS,
-    MinorModel,
-    edge_count_forces_minor,
-    has_clique_minor,
-    validate_model,
-)
+from .minor import MinorModel, has_clique_minor, validate_model
 
 __version__ = "0.1.0"
 

@@ -1,4 +1,5 @@
-"""Per-order bound table and the two closed-form chromatic bounds.
+"""The extremal edge counts (owned here), the per-order bound table built on
+them, and the two closed-form chromatic bounds.
 
 Each table row records, for graphs with no complete minor of order t+1:
 the extremal edge count (when one is used), the minimum-degree bound
@@ -14,8 +15,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .graph import Graph
 from .indep import gamma_constant, independence_guarantee
-from .minor import EXTREMAL_EDGE_BOUNDS
 
 PROVEN_T_RANGE = range(2, 11)
 CONJECTURED_DELTA = {6: 7, 7: 8, 8: 10}
@@ -37,6 +38,21 @@ class EdgeBound:
     min_vertices: int
 
 
+# Maximum edge counts of graphs with no complete minor of the keyed order:
+# m <= coeff*n - const once n >= min_vertices (orders 5-7 Mader 1968, 8
+# Jorgensen 1994, 9 Song and Thomas 2006).  The order-9 row is applied only
+# from n >= 5; below that the bound is treated as inconclusive.
+EXTREMAL_EDGE_BOUNDS: dict[int, EdgeBound] = {
+    5: EdgeBound(3, 6, 3),
+    6: EdgeBound(4, 10, 4),
+    7: EdgeBound(5, 15, 5),
+    8: EdgeBound(6, 20, 5),
+    9: EdgeBound(7, 27, 5),
+    10: EdgeBound(11, 66, 10),
+    11: EdgeBound(13, 89, 11),
+}
+
+
 @dataclass(frozen=True)
 class BoundRow:
     t: int
@@ -54,6 +70,19 @@ def delta_from_edge_bound(coeff: int, const: int) -> int:
     if coeff < 1 or const < 1:
         raise ValueError("edge bound coefficients must be positive")
     return 2 * coeff - 1
+
+
+def edge_count_forces_minor(g: Graph, order: int) -> bool:
+    """True means g certainly has a complete minor of the given order,
+    by exceeding the extremal edge count of the minor-free class.
+    False is inconclusive (including when g is below the row's vertex
+    minimum, where the bound does not apply)."""
+    row = EXTREMAL_EDGE_BOUNDS.get(order)
+    if row is None:
+        raise ValueError(f"no edge-count row for minor order {order}")
+    if g.n < row.min_vertices:
+        return False
+    return g.m > row.coeff * g.n - row.const
 
 
 def _alpha_for(delta: int, t: int) -> int:
@@ -82,9 +111,8 @@ def table_row(t: int, mode: str = "proven") -> BoundRow:
             delta = _DIRECT_DELTA[t]
             edge_bound = None
         else:
-            coeff, const, min_vertices = EXTREMAL_EDGE_BOUNDS[t + 1]
-            edge_bound = EdgeBound(coeff, const, min_vertices)
-            delta = delta_from_edge_bound(coeff, const)
+            edge_bound = EXTREMAL_EDGE_BOUNDS[t + 1]
+            delta = delta_from_edge_bound(edge_bound.coeff, edge_bound.const)
     alpha = _alpha_for(delta, t - 1)
     if mode == "proven" and alpha != _STATED_ALPHA[t]:
         raise AssertionError(

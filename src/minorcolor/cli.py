@@ -35,7 +35,7 @@ from pathlib import Path
 from typing import Iterator
 
 from . import __version__
-from .bounds import full_table, table_row
+from .bounds import EXTREMAL_EDGE_BOUNDS, edge_count_forces_minor, full_table, table_row
 from .coloring import color_by_contraction
 from .errors import (
     IndependenceShortfall,
@@ -56,13 +56,7 @@ from .generators import (
 )
 from .graph import Graph, min_degree_vertex
 from .indep import applicable_variants, gamma_constant, independence_guarantee
-from .minor import (
-    DEFAULT_SEARCH_CAP,
-    EXTREMAL_EDGE_BOUNDS,
-    MinorModel,
-    edge_count_forces_minor,
-    has_clique_minor,
-)
+from .minor import DEFAULT_SEARCH_CAP, MinorModel, has_clique_minor
 
 EXIT_OK = 0
 EXIT_INPUT = 3
@@ -302,7 +296,6 @@ def cmd_gen(args) -> Report:
         clique_size=args.clique_size,
         forbid=args.forbid,
         max_rejects=args.max_rejects,
-        oracle_cap=args.cap,
     )
     # `gen --out F > F`: opening F would empty it, and the report printed
     # from offset 0 would then overwrite the edge list
@@ -312,19 +305,15 @@ def cmd_gen(args) -> Report:
         same = False
     if same:
         raise ValueError(f"--out {args.out} is the file stdout writes to")
-    g = generate(spec)
+    g = generate(spec, cap=args.cap)
     data = write_edge_list(g).encode()
     # hash the bytes written: reading --out back would block on a pipe
     with open(args.out, "wb") as fh:
         fh.write(data)
-    # the sidecar leaves out the oracle cap: it can make gen fail, never
-    # change the graph
-    spec_echo = asdict(spec)
-    del spec_echo["oracle_cap"]
     meta = {
         "tool": "minorcolor",
         "version": __version__,
-        "spec": spec_echo,
+        "spec": asdict(spec),
         "result": {"n": g.n, "m": g.m, "sha256": hashlib.sha256(data).hexdigest()},
     }
     text = [f"wrote {args.out} (family={spec.family}, n={g.n}, m={g.m})"]

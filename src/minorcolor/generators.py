@@ -28,7 +28,6 @@ class GenSpec:
     clique_size: int | None = None  # clique_paste identification size
     forbid: int | None = None  # filtered_random: forbidden minor order
     max_rejects: int = 30
-    oracle_cap: int | None = None
 
 
 FAMILIES = (
@@ -50,7 +49,9 @@ BLOCK_MINOR_FREE_ORDER = {
 }
 
 
-def generate(spec: GenSpec) -> Graph:
+def generate(spec: GenSpec, *, cap: int | None = None) -> Graph:
+    """The graph spec describes.  cap is the exact oracle's size cap for
+    filtered_random; it can make generation fail, never change the graph."""
     if spec.family not in FAMILIES:
         raise ValueError(f"unknown family {spec.family!r}")
     if spec.family == "forest":
@@ -80,7 +81,7 @@ def generate(spec: GenSpec) -> Graph:
         spec.seed,
         spec.forbid,
         max_rejects=spec.max_rejects,
-        oracle_cap=spec.oracle_cap,
+        oracle_cap=cap,
     )
 
 

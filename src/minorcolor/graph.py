@@ -1,11 +1,11 @@
 """Simple undirected graphs over small integer vertex ids.
 
-Adjacency is stored as one bitmask per vertex, in a {vertex: neighbor
-mask} dict with ascending keys.  A Graph is immutable.  The exact searches
-and the generators take that dict once, at their public entry point, and
-work on it directly or, to delete and contract vertices, on a copy held
-by _Peel, the one code that deletes and contracts, at the end of this
-module.
+A Graph stores only a {vertex: neighbor mask} dict with ascending keys,
+which are its vertex set, and the counts n and m, so _from_adj is linear
+in n.  A Graph is immutable.  The exact searches and the generators take
+that dict once, at their public entry point, and work on it directly or,
+to delete and contract vertices, on a copy held by _Peel, the one code
+that deletes and contracts, at the end of this module.
 Vertex ids are stable: induced subgraphs and contractions never relabel
 surviving vertices.
 
@@ -40,7 +40,7 @@ class Graph:
     (contraction leaves holes).  No self-loops, no parallel edges.
     """
 
-    __slots__ = ("_vmask", "_adj", "n", "m")
+    __slots__ = ("_adj", "n", "m")
 
     def __init__(
         self,
@@ -50,38 +50,30 @@ class Graph:
         max_vertices: int | None = None,
     ):
         cap = DEFAULT_MAX_VERTICES if max_vertices is None else max_vertices
-        vmask = 0
+        adj = {}
         for v in vertices:
             if not isinstance(v, int) or v < 0:
                 raise ValueError(f"vertex ids must be non-negative integers, got {v!r}")
             if v >= cap:
                 raise ValueError(f"vertex id {v} exceeds the size cap {cap}")
-            vmask |= 1 << v
-        adj = {v: 0 for v in _bits(vmask)}
-        m = 0
+            adj[v] = 0
+        adj = dict.fromkeys(sorted(adj), 0)
         for u, v in edges:
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
-            if not (vmask >> u) & 1 or not (vmask >> v) & 1:
+            if u not in adj or v not in adj:
                 raise ValueError(f"edge ({u}, {v}) references an unknown vertex")
-            if not (adj[u] >> v) & 1:
-                adj[u] |= 1 << v
-                adj[v] |= 1 << u
-                m += 1
-        self._vmask = vmask
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
         self._adj = adj
         self.n = len(adj)
-        self.m = m
+        self.m = sum(mask.bit_count() for mask in adj.values()) // 2
 
     @classmethod
     def _from_adj(cls, adj: dict[int, int]) -> "Graph":
-        """Internal fast path: adj maps every vertex to a neighbor mask that
-        is already symmetric, irreflexive, and restricted to the vertex set."""
+        """Internal fast path, linear in n: adj has ascending keys and neighbor
+        masks that are already symmetric, irreflexive and within the keys."""
         g = object.__new__(cls)
-        vmask = 0
-        for v in adj:
-            vmask |= 1 << v
-        g._vmask = vmask
         g._adj = adj
         g.n = len(adj)
         g.m = sum(mask.bit_count() for mask in adj.values()) // 2
@@ -113,10 +105,11 @@ class Graph:
 
     @property
     def vertex_mask(self) -> int:
-        return self._vmask
+        """One bit per vertex; quadratic in n, so only for the capped searches."""
+        return sum(1 << v for v in self._adj)
 
     def has_vertex(self, v: int) -> bool:
-        return isinstance(v, int) and v >= 0 and bool((self._vmask >> v) & 1)
+        return isinstance(v, int) and v in self._adj
 
     def has_edge(self, u: int, v: int) -> bool:
         self._check_vertex(u)
@@ -156,10 +149,10 @@ class Graph:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return self._vmask == other._vmask and self._adj == other._adj
+        return self._adj == other._adj
 
     def __hash__(self) -> int:
-        return hash((self._vmask, tuple(self._adj.values())))
+        return hash(tuple(self._adj.items()))
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"

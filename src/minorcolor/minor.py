@@ -61,21 +61,6 @@ from .graph import Graph, _bits, _Peel
 
 DEFAULT_SEARCH_CAP = 40
 
-# Maximum edge counts of graphs with no complete minor of the keyed order:
-# order -> (coeff, const, min_vertices) meaning m <= coeff*n - const once
-# n >= min_vertices.  The order-9 row is applied only from n >= 5; below
-# that the bound is treated as inconclusive.
-EXTREMAL_EDGE_BOUNDS: dict[int, tuple[int, int, int]] = {
-    5: (3, 6, 3),
-    6: (4, 10, 4),
-    7: (5, 15, 5),
-    8: (6, 20, 5),
-    9: (7, 27, 5),
-    10: (11, 66, 10),
-    11: (13, 89, 11),
-}
-
-
 @dataclass(frozen=True)
 class MinorModel:
     """Witness that K_t is a minor: t disjoint connected branch sets,
@@ -136,20 +121,6 @@ def _closure(adj: dict[int, int], start: int, within: int) -> int:
         if grown == reach:
             return reach
         reach = grown
-
-
-def edge_count_forces_minor(g: Graph, order: int) -> bool:
-    """True means g certainly has a complete minor of the given order,
-    by exceeding the extremal edge count of the minor-free class.
-    False is inconclusive (including when g is below the row's vertex
-    minimum, where the bound does not apply)."""
-    row = EXTREMAL_EDGE_BOUNDS.get(order)
-    if row is None:
-        raise ValueError(f"no edge-count row for minor order {order}")
-    coeff, const, min_vertices = row
-    if g.n < min_vertices:
-        return False
-    return g.m > coeff * g.n - const
 
 
 def has_clique_minor(

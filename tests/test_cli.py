@@ -532,6 +532,15 @@ GOLDEN_CASES = [
         "7169f01e58df5e3e1e5f6df6e48127387961d3df160b3b3a6d2bd8ec88bdd8f5",
     ),
     (
+        # the echoed spec carries --max-rejects and leaves out --cap
+        "gen-filtered-max-rejects-structured",
+        ("gen", "--family", "filtered_random", "--n", "8", "--forbid", "5",
+         "--seed", "2", "--max-rejects", "5", "--cap", "12", "--out", "fr.el",
+         "--format", "structured"),
+        0,
+        "4b740584f8cef7493643503c4c2c8c61a4ebbc18345748db41db82059033029a",
+    ),
+    (
         "search-mindegree-text",
         ("search-mindegree", "--t", "7"),
         0,

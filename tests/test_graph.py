@@ -12,7 +12,9 @@ from minorcolor import (
     is_independent_set,
     is_proper_coloring,
     min_degree_vertex,
+    parse_graph,
     without_vertex,
+    write_edge_list,
 )
 from minorcolor.graph import _Peel
 
@@ -342,3 +344,22 @@ def test_copying_wrappers_match_naive_reference(g, data):
     assert z == _ref_contract(ref, set(s))
     assert h._adj == _as_masks(ref) and h.vertices == tuple(sorted(ref))
     assert g == clone
+
+
+@given(graphs(max_n=12))
+def test_both_construction_paths_agree(g):
+    # Graph() validates its input; parse_graph builds through _from_adj
+    parsed = parse_graph(write_edge_list(g))
+    assert parsed == g
+    assert hash(parsed) == hash(g)
+    assert parsed.vertex_mask == g.vertex_mask == (1 << g.n) - 1
+    assert (parsed.n, parsed.m) == (g.n, g.m)
+    for h in (g, parsed):
+        for bad in (-1, g.n, 1.5, "0"):
+            assert not h.has_vertex(bad)
+    missing = next(
+        ((u, v) for u in range(g.n) for v in range(u + 1, g.n) if not g.has_edge(u, v)),
+        None,
+    )
+    if missing is not None:
+        assert Graph(range(g.n), g.edges() + [missing]) != parsed
