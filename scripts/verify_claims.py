@@ -29,7 +29,11 @@ from minorcolor import (
 )
 from minorcolor.generators import GenSpec, generate
 from minorcolor.minor import _absence_certificate, _find_clique, _reduce
-from minorcolor.oracles import brute_force_chromatic_number, brute_force_max_independent_set
+from minorcolor.oracles import (
+    brute_force_chromatic_number,
+    brute_force_has_minor,
+    brute_force_max_independent_set,
+)
 
 FAILURES = []
 
@@ -119,10 +123,14 @@ def main() -> int:
     print("certificates of absence before the branch-set search:")
     petersen = Graph(range(10), [e for i in range(5) for e in
                                  ((i, (i + 1) % 5), (i, i + 5), (5 + i, 5 + (i + 2) % 5))])
+    grid5 = Graph(range(25), [(5 * r + c, 5 * r + c + 1) for r in range(5) for c in range(4)]
+                  + [(5 * r + c, 5 * r + c + 5) for r in range(4) for c in range(5)])
     for label, g, t, expect in (
         ("K_{2,2,2,3,3}", b12, 9, "clique_count"),
         ("K_{1,2,2,2,2,2}", b11, 9, "clique_count"),
         ("Petersen", petersen, 6, "width"),
+        ("4x4 grid", grid, 5, "planar"),
+        ("5x5 grid", grid5, 6, "planar"),
     ):
         cert = _absence_certificate(_reduce(g, t)[0], t)
         kind = cert[0] if cert else "none"
@@ -130,7 +138,11 @@ def main() -> int:
               kind == expect and has_clique_minor(g, t) is None)
 
     print("branch-set search, where nothing before it decides:")
-    for label, g, t, expect in (("Petersen", petersen, 5, True), ("4x4 grid", grid, 5, False)):
+    wagner = Graph(range(8), [(i, (i + 1) % 8) for i in range(8)] + [(i, i + 4) for i in range(4)])
+    claim("Wagner graph V8 has no order-5 minor by the subset-enumeration oracle",
+          not brute_force_has_minor(wagner, 5))
+    for label, g, t, expect in (("Petersen", petersen, 5, True),
+                                ("Wagner graph V8", wagner, 5, False)):
         adj = _reduce(g, t)[0]
         undecided = _find_clique(adj, t) is None and _absence_certificate(adj, t) is None
         model = has_clique_minor(g, t)

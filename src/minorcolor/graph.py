@@ -5,7 +5,8 @@ which are its vertex set, and the counts n and m, so _from_adj is linear
 in n.  A Graph is immutable.  The exact searches and the generators take
 that dict once, at their public entry point, and work on it directly or,
 to delete and contract vertices, on a copy held by _Peel, the one code
-that deletes and contracts, at the end of this module.
+that deletes and contracts, at the end of this module.  _closure is the one
+connected-closure helper; the minor search and the planarity test share it.
 Vertex ids are stable: induced subgraphs and contractions never relabel
 surviving vertices.
 
@@ -31,6 +32,20 @@ def _bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def _closure(adj: dict[int, int], start: int, within: int) -> int:
+    """The vertices of the mask within reachable from the mask start
+    (a subset of within) along edges inside within."""
+    reach = start
+    while True:
+        grown = reach
+        for v in _bits(reach):
+            grown |= adj[v]
+        grown &= within
+        if grown == reach:
+            return reach
+        reach = grown
 
 
 class Graph:

@@ -32,10 +32,10 @@ replaying the merges in reverse: each absorbed vertex joins the branch
 set that holds the vertex it was merged into.  Deleted vertices lie in no
 branch set.
 
-When the quick clique pass finds no K_t, two certificates that the reduced
-graph has no K_t minor are tried before the search, cheapest first.  The
-reduced graph has a K_t minor iff the input has one, so either certificate
-answers for the input.
+When the quick clique pass finds no K_t, three certificates that the
+reduced graph has no K_t minor are tried before the search, cheapest
+first.  The reduced graph has a K_t minor iff the input has one, so any
+certificate answers for the input.
 
 1. Clique count.  In a K_t model the s single-vertex branch sets are
    pairwise adjacent, so they form a clique and take distinct colors in
@@ -49,6 +49,12 @@ answers for the input.
    no K_t minor.  The order is built by min-fill (Bodlaender and Koster,
    "Treewidth computations I. Upper bounds", 2010) among the vertices of
    degree < t-1, and given up once none is left.
+3. Planarity, for t >= 5.  A planar graph has no K5 minor (Wagner 1937),
+   so none of order t >= 5 either.  The evidence is a rotation system of
+   a plane embedding (planar.rotation_system).  Testing the reduced graph
+   instead of the input loses no planar input: the reduced graph is a
+   minor of the input, and minors of planar graphs are planar.  The test
+   runs last, since the other two are cheaper.
 """
 
 from __future__ import annotations
@@ -57,7 +63,8 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import ResourceLimitExceeded
-from .graph import Graph, _bits, _Peel
+from .graph import Graph, _bits, _closure, _Peel
+from .planar import rotation_system
 
 DEFAULT_SEARCH_CAP = 40
 
@@ -107,20 +114,6 @@ def validate_model(g: Graph, model: MinorModel) -> bool:
             if not ni & mj:
                 return False
     return True
-
-
-def _closure(adj: dict[int, int], start: int, within: int) -> int:
-    """The vertices of the mask within reachable from the mask start
-    (a subset of within) along edges inside within."""
-    reach = start
-    while True:
-        grown = reach
-        for v in _bits(reach):
-            grown |= adj[v]
-        grown &= within
-        if grown == reach:
-            return reach
-        reach = grown
 
 
 def has_clique_minor(
@@ -209,11 +202,13 @@ def _find_clique(adj: dict[int, int], t: int) -> tuple[int, ...] | None:
 
 def _absence_certificate(
     adj: dict[int, int], t: int
-) -> tuple[str, dict[int, int] | list[int]] | None:
-    """Evidence that the graph adj has no K_t minor, or None if neither
+) -> tuple[str, dict[int, int] | list[int] | dict[int, list[int]]] | None:
+    """Evidence that the graph adj has no K_t minor, or None if no
     certificate of the module docstring decides: ("clique_count", a proper
-    coloring as {vertex: color}) with len(adj) + colors < 2t, or ("width",
-    an elimination order of every vertex) whose width is below t-1."""
+    coloring as {vertex: color}) with len(adj) + colors < 2t, ("width", an
+    elimination order of every vertex) whose width is below t-1, or, for
+    t >= 5, ("planar", a rotation system as {vertex: neighbors in cyclic
+    order})."""
     color: dict[int, int] = {}
     classes: list[int] = []
     for v, nbrs in adj.items():
@@ -237,12 +232,18 @@ def _absence_certificate(
                 if best_fill is None or fill < best_fill:
                     best, best_fill = v, fill
         if best is None:
-            return None
+            break
         nbrs = work.pop(best)
         for u in _bits(nbrs):
             work[u] = (work[u] | nbrs) & ~(1 << u | 1 << best)
         order.append(best)
-    return "width", order + list(work)
+    if len(work) < t:
+        return "width", order + list(work)
+    if t >= 5:
+        rotation = rotation_system(adj)
+        if rotation is not None:
+            return "planar", rotation
+    return None
 
 
 def _cliques(adj: dict[int, int], k: int) -> Iterator[tuple[int, ...]]:

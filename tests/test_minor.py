@@ -19,7 +19,7 @@ from minorcolor.generators import GenSpec, complete_multipartite, generate
 from minorcolor.graph import _bits
 from minorcolor.oracles import brute_force_has_minor
 
-from conftest import graphs, petersen
+from conftest import graphs, grid, is_plane_rotation, petersen
 
 
 def test_clique_detects_itself():
@@ -382,6 +382,9 @@ def _certificate_holds(adj: dict[int, int], t: int, cert) -> bool:
     kind, evidence = cert
     if kind == "clique_count":
         return _clique_count_holds(adj, t, evidence)
+    if kind == "planar":
+        # a planar graph has no K5 minor, so none of any order t >= 5
+        return t >= 5 and is_plane_rotation(adj, evidence)
     width = _elimination_width(adj, evidence)
     return kind == "width" and width is not None and width < t - 1
 
@@ -421,8 +424,10 @@ def test_certificates_stay_silent_when_the_minor_exists(g, t):
         (complete_multipartite((2, 2, 2, 3, 3)), 9, "clique_count"),
         (complete_multipartite((1, 2, 2, 2, 2, 2)), 9, "clique_count"),
         (petersen(), 6, "width"),
+        (grid(4, 4), 5, "planar"),
+        (grid(5, 5), 6, "planar"),
     ],
-    ids=["K_{2,2,2,3,3}@9", "K_{1,2,2,2,2,2}@9", "Petersen@6"],
+    ids=["K_{2,2,2,3,3}@9", "K_{1,2,2,2,2,2}@9", "Petersen@6", "grid4x4@5", "grid5x5@6"],
 )
 def test_certificate_skips_the_branch_set_search(monkeypatch, g, t, kind):
     import minorcolor.minor as minor
