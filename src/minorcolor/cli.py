@@ -29,6 +29,7 @@ import functools
 import hashlib
 import json
 import os
+import stat
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -297,10 +298,12 @@ def cmd_gen(args) -> Report:
         forbid=args.forbid,
         max_rejects=args.max_rejects,
     )
-    # `gen --out F > F`: opening F would empty it, and the report printed
-    # from offset 0 would then overwrite the edge list
+    # `gen --out F > F`: opening a regular file F would empty it, and the
+    # report printed from offset 0 would then overwrite the edge list; a
+    # device such as /dev/null loses nothing
     try:
-        same = os.path.samestat(os.stat(args.out), os.fstat(sys.stdout.fileno()))
+        shared = os.fstat(sys.stdout.fileno())
+        same = stat.S_ISREG(shared.st_mode) and os.path.samestat(os.stat(args.out), shared)
     except OSError:  # --out does not exist yet, or stdout has no descriptor
         same = False
     if same:

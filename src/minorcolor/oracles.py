@@ -8,6 +8,9 @@ dozen vertices or so.
 
 from __future__ import annotations
 
+from itertools import combinations
+from typing import Callable
+
 from .graph import Graph, _bits
 
 _PARTITION_CACHE: dict[tuple[tuple[int, ...], int], list[tuple[int, ...]]] = {}
@@ -48,14 +51,9 @@ def _subset_partitions(verts: tuple[int, ...], blocks: int) -> list[tuple[int, .
     return out
 
 
-def brute_force_has_minor(g: Graph, t: int) -> bool:
-    """Decide a complete-graph minor of order t by enumerating all
-    partitions of all vertex subsets into t blocks and checking each
-    candidate directly."""
-    if t < 1:
-        raise ValueError("minor order must be >= 1")
-    if t == 1:
-        return g.n >= 1
+def _block_tests(g: Graph) -> tuple[Callable[[int], int], Callable[[int], bool]]:
+    """nbr(mask), the neighbors of a vertex mask of g, and connected(mask),
+    whether it induces a connected subgraph; both memoised."""
     adj = {v: g.neighbor_mask(v) for v in g.vertices}
     conn_cache: dict[int, bool] = {}
     nbr_cache: dict[int, int] = {}
@@ -82,6 +80,18 @@ def brute_force_has_minor(g: Graph, t: int) -> bool:
             conn_cache[mask] = got
         return got
 
+    return nbr, connected
+
+
+def brute_force_has_minor(g: Graph, t: int) -> bool:
+    """Decide a complete-graph minor of order t by enumerating all
+    partitions of all vertex subsets into t blocks and checking each
+    candidate directly."""
+    if t < 1:
+        raise ValueError("minor order must be >= 1")
+    if t == 1:
+        return g.n >= 1
+    nbr, connected = _block_tests(g)
     for parts in _subset_partitions(g.vertices, t):
         ok = True
         for block in parts:
@@ -101,6 +111,24 @@ def brute_force_has_minor(g: Graph, t: int) -> bool:
         if ok:
             return True
     return False
+
+
+def brute_force_is_planar(g: Graph) -> bool:
+    """Decide planarity by Wagner's theorem: g is planar iff it has neither
+    a K5 nor a K3,3 minor.  A K3,3 minor is six connected blocks with a 3+3
+    split whose nine cross pairs are all adjacent."""
+    if brute_force_has_minor(g, 5):
+        return False
+    nbr, connected = _block_tests(g)
+    for parts in _subset_partitions(g.vertices, 6):
+        if not all(connected(block) for block in parts):
+            continue
+        for pair in combinations(range(1, 6), 2):
+            left = (0, *pair)
+            right = [j for j in range(6) if j not in left]
+            if all(nbr(parts[i]) & parts[j] for i in left for j in right):
+                return False
+    return True
 
 
 def brute_force_max_independent_set(g: Graph) -> frozenset[int]:

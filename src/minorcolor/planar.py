@@ -4,19 +4,17 @@ rotation_system(adj) takes a graph as a {vertex: neighbor mask} dict and
 returns each vertex's neighbors in the cyclic order of a plane embedding,
 or None if the graph is not planar.
 
-Two counting culls come first.  Let a planar graph on n >= 3 vertices have
-m >= n edges, so it has a cycle, and let every cycle have length >= g.
-Each face is bounded by closed walks of total length >= g, and each edge
-is walked twice, so 2m >= g*f; Euler's formula gives f >= m - n + 2; so
-(g-2)m <= g(n-2).  g is 3 in general (m <= 3n-6), 4 when no edge lies on
-a triangle, and 5 when, in addition, no two vertices have two common
-neighbors (no 4-cycle).
+One counting cull comes first.  In a plane graph on n >= 3 vertices each
+face is bounded by closed walks of total length >= 3, and each edge is
+walked twice, so 2m >= 3f; Euler's formula gives f >= m - n + 2; so
+m <= 3n - 6.
 
 Otherwise each biconnected block with a cycle is embedded by path
 addition (Demoucron, Malgrange and Pertuiset 1964).  The embedded part H
-starts as a cycle, whose two faces are the cycle walked both ways round.
-A fragment of the block relative to H is an edge outside H with both ends
-in H, or a component of the block minus H with its edges to H; its
+starts as a cycle through the block's lowest vertex and its lowest
+neighbor, whose two faces are the cycle walked both ways round.  A
+fragment of the block relative to H is an edge outside H with both ends in
+H, or a component of the block minus H with its edges to H; its
 attachments are its vertices in H, at least two since the block is
 biconnected.  A fragment can be drawn only inside a face that holds all
 its attachments.  Each step finds those faces for every fragment: if a
@@ -43,7 +41,7 @@ def rotation_system(adj: dict[int, int]) -> dict[int, list[int]] | None:
     the graph adj, or None if it is not planar.  adj is only read."""
     n = len(adj)
     m = sum(mask.bit_count() for mask in adj.values()) // 2
-    if n >= 3 and m >= n and _too_many_edges(adj, n, m):
+    if n >= 3 and m > 3 * n - 6:
         return None
     rotation: dict[int, list[int]] = {v: [] for v in adj}
     for block in _blocks(adj):
@@ -67,26 +65,6 @@ def rotation_system(adj: dict[int, int]) -> dict[int, list[int]] | None:
                 if u == first:
                     break
     return rotation
-
-
-def _too_many_edges(adj: dict[int, int], n: int, m: int) -> bool:
-    """Whether m edges exceed (g-2)m <= g(n-2), the module docstring's
-    bound, for the largest g that the triangle and 4-cycle checks allow."""
-    if m > 3 * n - 6:
-        return True
-    if any(adj[u] & nbrs for nbrs in adj.values() for u in _bits(nbrs)):
-        return False
-    if m > 2 * n - 4:
-        return True
-    if 3 * m <= 5 * (n - 2):
-        return False
-    verts = list(adj)
-    # no two vertices share two neighbors, so there is no 4-cycle
-    return not any(
-        (common := adj[u] & adj[v]) & (common - 1)
-        for i, u in enumerate(verts)
-        for v in verts[i + 1 :]
-    )
 
 
 def _blocks(adj: dict[int, int]) -> list[int]:
@@ -129,16 +107,19 @@ def _embed_block(adj: dict[int, int]) -> list[list[int]] | None:
     """The faces of a plane embedding of the biconnected graph adj (at
     least three vertices), each a vertex cycle and all walked the same way
     round, or None if it is not planar."""
-    faces = [_cycle(adj)]
+    every = sum(1 << v for v in adj)
+    start = (every & -every).bit_length() - 1
+    first = (adj[start] & -adj[start]).bit_length() - 1
+    # the edge start-first closes the path into a cycle
+    ends = 1 << start | 1 << first
+    faces = [_path_through(adj, every & ~ends, ends)]
     faces.append(faces[0][::-1])
     placed = sum(1 << v for v in faces[0])
     masks = [placed, placed]
     drawn = {v: 0 for v in adj}
     for i, v in enumerate(faces[0]):
-        u = faces[0][i - 1]
-        drawn[v] |= 1 << u
-        drawn[u] |= 1 << v
-    outside = sum(1 << v for v in adj) & ~placed
+        drawn[v] = 1 << faces[0][i - 1] | 1 << faces[0][(i + 1) % len(faces[0])]
+    outside = every & ~placed
     while True:
         # (attachment mask, chord ends or component mask)
         fragments: list[tuple[int, list[int] | int]] = [
@@ -183,34 +164,12 @@ def _embed_block(adj: dict[int, int]) -> list[list[int]] | None:
         outside &= ~inner
 
 
-def _cycle(adj: dict[int, int]) -> list[int]:
-    """A cycle through the lowest-id vertex of the biconnected graph adj:
-    a shortest path from its lowest neighbor back to it that avoids the
-    edge between them."""
-    start = next(iter(adj))
-    first = (adj[start] & -adj[start]).bit_length() - 1
-    parent = {first: -1}
-    frontier = [first]
-    while start not in parent:
-        grown = []
-        for x in frontier:
-            for y in _bits(adj[x]):
-                if y not in parent and not (x == first and y == start):
-                    parent[y] = x
-                    grown.append(y)
-        frontier = grown
-    cycle = []
-    v = start
-    while v >= 0:
-        cycle.append(v)
-        v = parent[v]
-    return cycle
-
-
 def _path_through(adj: dict[int, int], comp: int, attach: int) -> list[int]:
     """A path between two distinct attachments whose inner vertices lie in
-    the component comp: from the lowest attachment a into comp, then a
-    shortest path inside comp to a vertex next to another attachment."""
+    comp: from the lowest attachment a to its lowest neighbor in comp, then
+    a shortest path inside comp to a vertex next to another attachment.
+    comp may hold several components; the search stays in the one holding
+    a's lowest neighbor, which must touch another attachment."""
     a = (attach & -attach).bit_length() - 1
     entry = adj[a] & comp
     start = (entry & -entry).bit_length() - 1
@@ -219,8 +178,7 @@ def _path_through(adj: dict[int, int], comp: int, attach: int) -> list[int]:
     frontier = [start]
     while True:
         for x in frontier:
-            if adj[x] & others:
-                hit = adj[x] & others
+            if hit := adj[x] & others:
                 path = [(hit & -hit).bit_length() - 1]
                 while x >= 0:
                     path.append(x)

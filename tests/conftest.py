@@ -1,10 +1,7 @@
 import hypothesis.strategies as st
 import pytest
-from hypothesis import settings
 
 from minorcolor import Graph
-
-settings.register_profile("thorough", max_examples=200)
 
 
 def petersen() -> Graph:

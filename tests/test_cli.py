@@ -689,6 +689,18 @@ def test_gen_refuses_an_out_that_is_its_own_stdout(tmp_path):
     assert not (tmp_path / "graph.el.meta.json").exists()
 
 
+def test_gen_writes_to_dev_null_when_stdout_is_dev_null():
+    # both ends are one device, not a file that opening would truncate
+    env = dict(os.environ, PYTHONPATH=str(Path(minorcolor.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "minorcolor.cli", "gen", "--family", "forest",
+         "--n", "6", "--out", os.devnull],
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, env=env, timeout=20,
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stderr == b""
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -1,5 +1,6 @@
 import hashlib
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -401,6 +402,49 @@ def test_absence_certificates_are_sound(g, t):
         if cert is not None:
             assert _certificate_holds(adj, t, cert), cert
             assert not brute_force_has_minor(g, t)
+
+
+def _flipped_triangulation(rng: random.Random, n: int) -> Graph:
+    """A stacked triangulation on n >= 4 vertices after random edge flips,
+    less up to two edges.  Faces are kept as vertex sets: a flip swaps
+    edge uv of faces uvx and uvy for xy when x and y are not adjacent,
+    which keeps a triangulation, and deleting edges keeps a graph planar."""
+    faces = {frozenset(f) for f in combinations(range(4), 3)}
+    for v in range(4, n):
+        face = rng.choice(sorted(sorted(f) for f in faces))
+        faces.remove(frozenset(face))
+        faces |= {frozenset((a, b, v)) for a, b in combinations(face, 2)}
+    for _ in range(2 * n):
+        edges = sorted({e for f in faces for e in combinations(sorted(f), 2)})
+        u, v = rng.choice(edges)
+        left, right = [f for f in faces if u in f and v in f]
+        (x,), (y,) = left - {u, v}, right - {u, v}
+        if (min(x, y), max(x, y)) not in edges:
+            faces -= {left, right}
+            faces |= {frozenset((x, y, u)), frozenset((x, y, v))}
+    edges = sorted({e for f in faces for e in combinations(sorted(f), 2)})
+    for _ in range(rng.randint(0, 2)):
+        edges.pop(rng.randrange(len(edges)))
+    return Graph(range(n), edges)
+
+
+def test_planar_certificates_agree_with_brute_force():
+    # on graphs(max_n=8) clique count or width decides every planar graph
+    # first; flipped 9-vertex triangulations reach the planar kind
+    from minorcolor.minor import _absence_certificate, _reduce
+
+    rng = random.Random(0)
+    members = 0
+    for _ in range(200):
+        g = _flipped_triangulation(rng, 9)
+        adj = _reduce(g, 5)[0]
+        cert = _absence_certificate(adj, 5)
+        if cert is None or cert[0] != "planar":
+            continue
+        members += 1
+        assert is_plane_rotation(adj, cert[1])
+        assert not brute_force_has_minor(g, 5)
+    assert members >= 10
 
 
 @pytest.mark.parametrize(

@@ -5,7 +5,8 @@ import hypothesis.strategies as st
 from minorcolor import Graph
 from minorcolor.generators import GenSpec, complete_multipartite, generate
 from minorcolor.graph import _bits
-from minorcolor.planar import _blocks, _embed_block, _too_many_edges, rotation_system
+from minorcolor.oracles import brute_force_is_planar
+from minorcolor.planar import _blocks, _embed_block, rotation_system
 
 from conftest import graphs, grid, is_plane_rotation, petersen
 
@@ -108,9 +109,15 @@ def test_relabelling_with_gaps_keeps_the_verdict(g, data):
 @settings(max_examples=200, deadline=None)
 def test_counting_culls_reject_only_what_path_addition_rejects(g):
     adj = dict(g._adj)
-    if g.n >= 3 and g.m >= g.n and _too_many_edges(adj, g.n, g.m):
+    if g.n >= 3 and g.m > 3 * g.n - 6:
         assert any(
             _embed_block({v: adj[v] & block for v in _bits(block)}) is None
             for block in _blocks(adj)
             if block.bit_count() > 2
         )
+
+
+@given(graphs(max_n=8))
+@settings(max_examples=300, deadline=None)
+def test_verdict_matches_the_wagner_oracle(g):
+    assert (rotation_system(dict(g._adj)) is not None) == brute_force_is_planar(g)
