@@ -30,8 +30,10 @@ the d neighbors of v down one bucket.  A contraction into z rewrites the
 masks of the outside neighbors of the merged vertices other than z, and
 re-buckets z and those of them whose degree changes.  Each of these is a
 constant number of operations on n-bit masks.  The rest of a step is the
-exact MIS on a neighborhood graph of d <= delta vertices and, in the
-lift, v's color.
+exact MIS over the d <= delta neighbors of v, run on the working dict
+under v's neighbor mask (no neighborhood graph is copied out; one is built
+only for --audit and for a shortfall's witness) and, in the lift, v's
+color.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ from .errors import (
     MinDegreeExceeded,
     MinorAuditFailed,
     PaletteExhausted,
+    ResourceLimitExceeded,
 )
 from .graph import (
     Coloring,
@@ -52,7 +55,7 @@ from .graph import (
     _Peel,
     is_proper_coloring,
 )
-from .indep import max_independent_set
+from .indep import DEFAULT_MIS_CAP, _max_independent_mask
 from .minor import has_clique_minor
 
 
@@ -112,21 +115,23 @@ def color_by_contraction(
     if palette < 2:
         raise ValueError("palette bound delta - alpha + 2 must be >= 2")
 
-    def choose(v: int, d: int, adj: dict[int, int]) -> frozenset[int]:
+    def choose(v: int, d: int, adj: dict[int, int]) -> int:
         if d > delta:
             raise MinDegreeExceeded(v, d, Graph._from_adj(adj))
         if d == 0:
-            return frozenset()
+            return 0
         nbrs = adj[v]
-        neighborhood = Graph._from_adj({u: adj[u] & nbrs for u in _bits(nbrs)})
         if audit:
+            neighborhood = _neighborhood(adj, nbrs)
             model = has_clique_minor(neighborhood, t, cap=oracle_cap)
             if model is not None:
                 raise MinorAuditFailed(model, neighborhood)
-        chosen = max_independent_set(neighborhood)
-        required = alpha - (delta - d)
-        if len(chosen) < required:
-            raise IndependenceShortfall(neighborhood, len(chosen), required)
+        if d > DEFAULT_MIS_CAP:
+            raise ResourceLimitExceeded("independent-set search", d, DEFAULT_MIS_CAP)
+        chosen = _max_independent_mask(adj, nbrs)
+        found, required = chosen.bit_count(), alpha - (delta - d)
+        if found < required:
+            raise IndependenceShortfall(_neighborhood(adj, nbrs), found, required)
         return chosen
 
     coloring, trace = _descend_and_lift(dict(g._adj), choose, palette)
@@ -149,7 +154,7 @@ def replay_trace(g: Graph, trace: ContractionTrace, delta: int, alpha: int) -> C
     palette = palette_bound(delta, alpha)
     recorded = iter(trace.steps)
 
-    def choose(v: int, d: int, adj: dict[int, int]) -> frozenset[int]:
+    def choose(v: int, d: int, adj: dict[int, int]) -> int:
         step = next(recorded, None)
         if step is None or (step.vertex, step.degree) != (v, d):
             raise ValueError(f"graph has vertex {v} of degree {d} next, trace has {step}")
@@ -158,7 +163,7 @@ def replay_trace(g: Graph, trace: ContractionTrace, delta: int, alpha: int) -> C
             (adj[u] >> w) & 1 for u in s for w in s
         ):
             raise ValueError(f"trace set {sorted(s)} is not independent in N({v})")
-        return s
+        return sum(1 << u for u in s)
 
     try:
         coloring, rebuilt = _descend_and_lift(dict(g._adj), choose, palette)
@@ -169,17 +174,22 @@ def replay_trace(g: Graph, trace: ContractionTrace, delta: int, alpha: int) -> C
     return coloring
 
 
+def _neighborhood(adj: dict[int, int], nbrs: int) -> Graph:
+    """The graph that the vertex mask nbrs induces in adj."""
+    return Graph._from_adj({u: adj[u] & nbrs for u in _bits(nbrs)})
+
+
 def _descend_and_lift(
     adj: dict[int, int],
-    choose: Callable[[int, int, dict[int, int]], frozenset[int]],
+    choose: Callable[[int, int, dict[int, int]], int],
     palette: int,
 ) -> tuple[Coloring, ContractionTrace]:
     """The descent peels adj in place down to at most one vertex: each step
     takes the minimum-degree vertex v of degree d, deletes it when d = 0 and
-    otherwise merges it with choose(v, d, adj).  The lift colors what is
-    left with 0 and undoes the steps in reverse order.  A contraction only
-    adds ids above its z, which is colored already, so the lowest colored
-    id changes only when an isolated vertex comes back."""
+    otherwise merges it with the vertex mask choose(v, d, adj).  The lift
+    colors what is left with 0 and undoes the steps in reverse order.  A
+    contraction only adds ids above its z, which is colored already, so the
+    lowest colored id changes only when an isolated vertex comes back."""
     peel = _Peel(adj)
     pending = []
     while len(adj) > 1:
@@ -190,19 +200,20 @@ def _descend_and_lift(
             peel.delete(v)
             z = None
         else:
-            z = peel.contract(sum(1 << u for u in chosen) | 1 << v)
+            z = peel.contract(chosen | 1 << v)
         pending.append((v, d, chosen, z, nbrs))
 
     assignment: dict[int, int] = {v: 0 for v in adj}
     lowest = next(iter(adj), None)
     steps: list[TraceStep] = []
     for v, d, chosen, z, nbrs in reversed(pending):
+        members = frozenset(_bits(chosen))
         if d == 0:
             color = assignment[lowest]
             lowest = min(lowest, v)
         else:
             merged_color = assignment[z]
-            for u in chosen:
+            for u in members:
                 assignment[u] = merged_color
             used = {assignment[u] for u in _bits(nbrs)}
             color = next((c for c in range(palette) if c not in used), None)
@@ -211,7 +222,7 @@ def _descend_and_lift(
                     f"all {palette} colors appear on the neighborhood of {v}"
                 )
         assignment[v] = color
-        steps.append(TraceStep(v, d, chosen, z, color))
+        steps.append(TraceStep(v, d, members, z, color))
     steps.reverse()
     return Coloring(assignment, palette), ContractionTrace(steps, base_size=len(adj))
 

@@ -322,7 +322,9 @@ def is_proper_coloring(g: Graph, c: Coloring) -> bool:
     for bad in c.assignment.values():
         if not 0 <= bad < c.palette_size:
             raise ValueError(f"color {bad} outside palette of size {c.palette_size}")
-    for u, v in g.edges():
-        if c.assignment[u] == c.assignment[v]:
-            return False
-    return True
+    # one vertex mask per color present, so the palette size costs nothing
+    classes: dict[int, int] = {}
+    for v, color in c.assignment.items():
+        classes[color] = classes.get(color, 0) | 1 << v
+    adj = g._adj
+    return not any(adj[v] & classes[color] for v, color in c.assignment.items())

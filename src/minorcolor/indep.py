@@ -1,10 +1,13 @@
 """Exact maximum independent sets and the closed-form independence bounds.
 
-max_independent_set is one branch and bound.  It decides the lowest
-remaining vertex, taking it before leaving it out, and keeps the first
-maximum set it meets.  That set is the lexicographically least: two sets
-of equal size first differ at a vertex that one of them takes, and the
-search meets that one first.  A vertex with no neighbor left is taken
+_max_independent_mask is one branch and bound over a {vertex: neighbor
+mask} dict, restricted to a vertex mask, so the coloring descent runs it
+on a neighborhood of its working graph without copying one out;
+max_independent_set is its capped wrapper for a Graph.  It decides the
+lowest remaining vertex, taking it before leaving it out, and keeps the
+first maximum set it meets.  That set is the lexicographically least: two
+sets of equal size first differ at a vertex that one of them takes, and
+the search meets that one first.  A vertex with no neighbor left is taken
 outright.  That keeps the order, since such a vertex is in every maximum
 set of its branch and removing it changes no other vertex's degree.
 
@@ -78,7 +81,19 @@ def independence_number(g: Graph, *, cap: int | None = None) -> int:
 
 def max_independent_set(g: Graph, *, cap: int | None = None) -> frozenset[int]:
     """An exact maximum independent set; deterministically the one whose
-    sorted member list is lexicographically least.
+    sorted member list is lexicographically least (see
+    _max_independent_mask)."""
+    limit = DEFAULT_MIS_CAP if cap is None else cap
+    if g.n > limit:
+        raise ResourceLimitExceeded("independent-set search", g.n, limit)
+    return frozenset(_bits(_max_independent_mask(g._adj, g.vertex_mask)))
+
+
+def _max_independent_mask(adj: dict[int, int], mask: int) -> int:
+    """The lexicographically least maximum independent set of the subgraph
+    that the vertex mask induces in adj, as a mask.  Every step ANDs with
+    mask, so adj may hold more vertices than mask, and its masks may reach
+    outside mask.
 
     It is the first maximum set the search meets: the lowest remaining
     vertex is taken before it is left out, so sets of equal size are met
@@ -87,10 +102,6 @@ def max_independent_set(g: Graph, *, cap: int | None = None) -> frozenset[int]:
     changes no other vertex's degree.  A branch is cut only when its size
     plus a clique-cover bound cannot beat the best size so far.
     """
-    limit = DEFAULT_MIS_CAP if cap is None else cap
-    if g.n > limit:
-        raise ResourceLimitExceeded("independent-set search", g.n, limit)
-    adj = g._adj
     best = best_size = 0
 
     def bb(mask: int, taken: int, size: int) -> None:
@@ -110,8 +121,8 @@ def max_independent_set(g: Graph, *, cap: int | None = None) -> frozenset[int]:
         bb(mask & ~(adj[low.bit_length() - 1] | low), taken | low, size + 1)
         bb(mask ^ low, taken, size)
 
-    bb(g.vertex_mask, 0, 0)
-    return frozenset(_bits(best))
+    bb(mask, 0, 0)
+    return best
 
 
 def _cover_bound(adj: dict[int, int], mask: int) -> int:

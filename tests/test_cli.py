@@ -7,6 +7,8 @@ import threading
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+import hypothesis.strategies as st
 
 import minorcolor
 from minorcolor import (
@@ -18,7 +20,7 @@ from minorcolor import (
     validate_model,
 )
 from minorcolor import bounds
-from minorcolor.cli import main
+from minorcolor.cli import _render, main
 from minorcolor.formats import parse_edge_list
 from minorcolor.generators import GenSpec, clique_paste, generate
 
@@ -106,6 +108,50 @@ def test_check_minor_reads_dimacs(tmp_path, capsys):
     assert code == 0
     assert "FOUND" in out
     assert "set_0: 0" in out  # witness lines in the text report
+
+
+# text that json must escape: quotes, backslashes, control characters,
+# DEL, non-ASCII, line separators and astral characters (surrogate pairs)
+_TEXT = st.text(
+    st.sampled_from('"\\/\x00\x08\t\n\x1f\x7f\xe9\u2028\U0001f600a') | st.characters()
+)
+_JSON = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(-(2**200), 2**200)
+    | st.floats()
+    | st.sampled_from([float("nan"), float("inf"), float("-inf")])
+    | _TEXT,
+    lambda children: st.lists(children)
+    | st.lists(children).map(tuple)
+    | st.dictionaries(_TEXT, children),
+    max_leaves=30,
+)
+
+
+@given(_JSON)
+@settings(max_examples=150, deadline=None)
+def test_render_writes_the_bytes_of_json_dumps(value):
+    assert _render(value) == json.dumps(value, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [{1: "a", 0: None}, {None: 1}, {True: [], 2.5: {}}, {float("nan"): 0}, [{}, [], ()]],
+)
+def test_render_writes_keys_that_are_not_str_as_json_does(value):
+    assert _render(value) == json.dumps(value, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("value", [{1, 2}, {"a": [frozenset()]}, {(1, 2): 0}, {"a": 1, 2: 0}])
+def test_render_rejects_what_json_rejects(value):
+    with pytest.raises(TypeError) as ours:
+        _render(value)
+    with pytest.raises(TypeError) as theirs:
+        json.dumps(value, sort_keys=True, indent=2)
+    assert type(ours.value) is type(theirs.value)
+    assert str(ours.value) == str(theirs.value)
 
 
 def test_color_success_exit_zero(tmp_path, capsys):
@@ -288,6 +334,19 @@ def test_resource_limit_exit_four(tmp_path, capsys):
     code, _, err = run(capsys, "check-minor", "--t", "3", str(path))
     assert code == 4
     assert "cap" in err
+
+
+def test_color_neighborhood_above_the_mis_cap_exit_four(tmp_path, capsys):
+    # every neighborhood of K66 has 65 vertices, one above the exact
+    # independent-set search's cap of 64
+    path = str(tmp_path / "k66.el")
+    edges = [(u, v) for u in range(66) for v in range(u + 1, 66)]
+    save_graph(Graph(range(66), edges, max_vertices=66), path)
+    code, out, err = run(
+        capsys, "color", "--t", "70", "--delta", "70", "--alpha", "2", path
+    )
+    assert (code, out) == (4, "")
+    assert err == "error: independent-set search: instance size 65 exceeds cap 64\n"
 
 
 def test_oracle_cap_env_override(tmp_path, capsys, monkeypatch):

@@ -135,6 +135,24 @@ def test_proper_coloring_partial_rejected():
         is_proper_coloring(Graph.complete(3), Coloring({0: 0, 1: 1}, 2))
 
 
+@given(graphs(max_n=12), st.data())
+@settings(max_examples=200, deadline=None)
+def test_proper_coloring_matches_an_edge_scan(g, data):
+    palette = data.draw(st.integers(1, 4))
+    colors = data.draw(st.lists(st.integers(0, palette - 1), min_size=g.n, max_size=g.n))
+    c = Coloring(dict(zip(g.vertices, colors)), palette)
+    naive = all(c.assignment[u] != c.assignment[v] for u, v in g.edges())
+    assert is_proper_coloring(g, c) == naive
+
+
+def test_proper_coloring_allocates_nothing_per_palette_color():
+    # --delta is unbounded, so the palette can be far larger than memory
+    k3 = Graph.complete(3)
+    huge = 2**62
+    assert is_proper_coloring(k3, Coloring({0: 0, 1: huge - 1, 2: 2**40}, huge))
+    assert not is_proper_coloring(k3, Coloring({0: 7, 1: huge - 1, 2: 7}, huge))
+
+
 def test_forest_bfs_two_coloring_is_proper():
     tree = Graph(range(7), [(0, 1), (0, 2), (1, 3), (1, 4), (2, 5), (2, 6)])
     color = {}

@@ -17,7 +17,8 @@ from minorcolor import (
     max_independent_set,
 )
 from minorcolor.generators import GenSpec, complete_multipartite, generate
-from minorcolor.indep import applicable_variants
+from minorcolor.graph import induced_subgraph
+from minorcolor.indep import _max_independent_mask, applicable_variants
 from minorcolor.oracles import brute_force_max_independent_set
 
 from conftest import graphs, petersen
@@ -68,6 +69,16 @@ def test_max_independent_set_golden():
         lines.append(f"{sorted(max_independent_set(g))} {independence_number(g)}")
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == "17d75c42bfdde49dd410592b6a0967f7690ddb196cc4222410523f585fe862f3"
+
+
+@given(graphs(max_n=12), st.data())
+@settings(max_examples=200, deadline=None)
+def test_mask_search_matches_the_search_on_the_induced_subgraph(g, data):
+    # the descent runs the search on its working dict under a neighbor mask
+    members = data.draw(st.lists(st.sampled_from(g.vertices), unique=True))
+    mask = sum(1 << v for v in members)
+    expect = max_independent_set(induced_subgraph(g, members))
+    assert _max_independent_mask(g._adj, mask) == sum(1 << v for v in expect)
 
 
 @given(graphs())
