@@ -33,7 +33,7 @@ constant number of operations on n-bit masks.  The rest of a step is the
 exact MIS over the d <= delta neighbors of v, run on the working dict
 under v's neighbor mask (no neighborhood graph is copied out; one is built
 only for --audit and for a shortfall's witness) and, in the lift, v's
-color.
+color: the lowest zero bit of the mask of colors on its neighbors.
 """
 
 from __future__ import annotations
@@ -215,9 +215,11 @@ def _descend_and_lift(
             merged_color = assignment[z]
             for u in members:
                 assignment[u] = merged_color
-            used = {assignment[u] for u in _bits(nbrs)}
-            color = next((c for c in range(palette) if c not in used), None)
-            if color is None:
+            used = 0
+            for u in _bits(nbrs):
+                used |= 1 << assignment[u]
+            color = (~used & (used + 1)).bit_length() - 1
+            if color >= palette:
                 raise PaletteExhausted(
                     f"all {palette} colors appear on the neighborhood of {v}"
                 )

@@ -37,6 +37,9 @@ def _read(text: str, dimacs: bool | None) -> Graph:
     """The one reader; with dimacs None the first content line decides."""
     n = m = None
     given = 0
+    # int() alone would also take 1_0, +0 and non-ASCII digits; a line is
+    # checked for them only when the text holds one somewhere
+    plain = text.isascii() and "_" not in text and "+" not in text
     for i, raw in enumerate(text.splitlines(), 1):
         fields = raw.split()
         if not fields:
@@ -59,8 +62,10 @@ def _read(text: str, dimacs: bool | None) -> Graph:
             del fields[0]
         else:
             raise ParseError(f"unrecognized line {raw.strip()!r}", line=i)
-        try:  # int() alone would also take 1_0, +0 and non-ASCII digits
-            if not (ok and "".join(fields).isascii()) or "_" in raw or "+" in raw:
+        try:
+            if not ok or not plain and (
+                not "".join(fields).isascii() or "_" in raw or "+" in raw
+            ):
                 raise ValueError
             a, b = int(fields[0]), int(fields[1])
         except ValueError:  # also a number too long for int()

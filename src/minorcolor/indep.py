@@ -1,13 +1,21 @@
 """Exact maximum independent sets and the closed-form independence bounds.
 
-_max_independent_mask is one branch and bound over a {vertex: neighbor
-mask} dict, restricted to a vertex mask, so the coloring descent runs it
-on a neighborhood of its working graph without copying one out;
-max_independent_set is its capped wrapper for a Graph.  It decides the
-lowest remaining vertex, taking it before leaving it out, and keeps the
-first maximum set it meets.  That set is the lexicographically least: two
-sets of equal size first differ at a vertex that one of them takes, and
-the search meets that one first.  A vertex with no neighbor left is taken
+_max_independent_mask is one search over a {vertex: neighbor mask} dict,
+restricted to a vertex mask, so the coloring descent runs it on a
+neighborhood of its working graph without copying one out;
+max_independent_set is its capped wrapper for a Graph.  It first builds
+the greedy set: take the lowest vertex, drop its closed neighborhood,
+repeat.  Where another independent set first differs from it, the greedy
+set holds the lower vertex, since it took the lowest vertex that their
+common prefix left free; so a greedy set of maximum size is the
+lexicographically least maximum set.  When its size meets a clique-cover
+bound it is certified maximum and returned, as it is on nearly every
+neighborhood of the coloring descent.  Otherwise a branch and bound starts
+from it.  That decides the lowest remaining vertex, taking it before
+leaving it out, and keeps only strictly larger sets, so it keeps the first
+maximum set it meets.  That set is the lexicographically least: two sets
+of equal size first differ at a vertex that one of them takes, and the
+search meets that one first.  A vertex with no neighbor left is taken
 outright.  That keeps the order, since such a vertex is in every maximum
 set of its branch and removing it changes no other vertex's degree.
 
@@ -95,14 +103,30 @@ def _max_independent_mask(adj: dict[int, int], mask: int) -> int:
     mask, so adj may hold more vertices than mask, and its masks may reach
     outside mask.
 
-    It is the first maximum set the search meets: the lowest remaining
+    The greedy set takes the lowest vertex and drops its closed
+    neighborhood until mask is used up.  Where another independent set
+    first differs from it, the greedy set holds the lower vertex, so when
+    it is maximum it is the answer.  It is returned at once when its size
+    meets the clique-cover bound of mask, which proves it maximum.
+    Otherwise the branch and bound starts with it as the best set and
+    keeps only strictly larger ones, so it returns the first maximum set
+    it meets, or the greedy set if none is larger.  The lowest remaining
     vertex is taken before it is left out, so sets of equal size are met
     in lexicographic order.  A vertex with no neighbor left is taken
     outright; it is in every maximum set of its branch, and removing it
     changes no other vertex's degree.  A branch is cut only when its size
-    plus a clique-cover bound cannot beat the best size so far.
+    plus a clique-cover bound cannot beat the best size so far, so a
+    starting set that is not maximum cuts no branch that leads to a
+    maximum set.
     """
-    best = best_size = 0
+    best, rest = 0, mask
+    while rest:
+        low = rest & -rest
+        best |= low
+        rest &= ~(adj[low.bit_length() - 1] | low)
+    best_size = best.bit_count()
+    if best_size == _cover_bound(adj, mask):
+        return best
 
     def bb(mask: int, taken: int, size: int) -> None:
         nonlocal best, best_size

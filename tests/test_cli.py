@@ -233,6 +233,25 @@ def test_color_audit_failure_exit_eight(tmp_path, capsys):
             "8",
             "a3360a68cc4449ce4b01401bc7e48c4c7914b09a53d1af35e26aa7d02c27d56e",
         ),
+        # the families of the color_descent benchmark, at small sizes
+        (
+            "tri60s11.el",
+            lambda: generate(GenSpec("planar_triangulation", n=60, seed=11)),
+            "4",
+            "48b217c3392586ec4a09dd33c7bf27244658eff8403badc667d37d1897714f4e",
+        ),
+        (
+            "tri120.el",
+            lambda: generate(GenSpec("planar_triangulation", n=120, seed=5)),
+            "4",
+            "84cfe0054f92f3c90bbd99df7582964ab7019b3ce2e405bfa3b8f05c1c262b02",
+        ),
+        (
+            "paste5x4.el",
+            lambda: clique_paste(((2, 2, 2, 2, 2),) * 4, 5, 2),
+            "7",
+            "566e2168602e0c8d8de4e6bfe2777819f5c77ab095648eeb09011969a4ceecf4",
+        ),
     ],
 )
 def test_color_structured_output_golden(

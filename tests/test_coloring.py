@@ -168,6 +168,16 @@ def test_replay_rejects_wrong_graph():
         replay_trace(other, report.trace, 5, 2)
 
 
+def test_replay_with_a_smaller_palette_exhausts_it():
+    # K4 needs 4 colors: replayed with a palette of 3, the last lift step
+    # finds all 3 on the neighborhood of 0
+    g = Graph.complete(4)
+    trace = color_by_contraction(g, 3, 3, 1).trace
+    with pytest.raises(ValueError) as err:
+        replay_trace(g, trace, 2, 1)
+    assert str(err.value) == "replay: all 3 colors appear on the neighborhood of 0"
+
+
 def _tamper_color(trace, g):
     step = trace.steps[0]
     trace.steps[0] = replace(step, color=step.color + 1)

@@ -146,6 +146,19 @@ def test_parse_error_table(reader, text, line, message):
         )
 
 
+# Inputs that parse, with the edges each reader gives.  The first holds
+# what a number may not (non-ASCII, _ and +), but only in a comment.
+PARSES = [
+    (parse_dimacs, "c größe_1+2 ２\np edge 3 1\nc +1 1_0\ne 1 3\n", [(0, 2)]),
+]
+
+
+@pytest.mark.parametrize(("reader", "text", "edges"), PARSES)
+def test_parse_table(reader, text, edges):
+    for parse in (reader, parse_graph):
+        assert parse(text).edges() == edges
+
+
 def _dimacs(g: Graph) -> str:
     """g as DIMACS with its first edge reversed and its last edge repeated."""
     edges = [(u + 1, v + 1) for u, v in g.edges()]

@@ -81,6 +81,35 @@ def test_mask_search_matches_the_search_on_the_induced_subgraph(g, data):
     assert _max_independent_mask(g._adj, mask) == sum(1 << v for v in expect)
 
 
+# One row per way out of the search: (graph, vertex mask, expected set).
+MASK_SEARCH = [
+    # a clique: the greedy set is its lowest vertex, certified by the cover
+    (Graph.complete(5), 0b11110, {1}),
+    # a path: the greedy set {0, 2, 4} meets the cover bound of 3
+    (Graph.path(5), 0b11111, {0, 2, 4}),
+    # a star with center 0: the greedy set {0} falls short of the leaves
+    (Graph(range(5), [(0, 1), (0, 2), (0, 3), (0, 4)]), 0b11111, {1, 2, 3, 4}),
+    # C5: the greedy set {0, 2} is maximum, but the cover bound is 3
+    (Graph.cycle(5), 0b11111, {0, 2}),
+]
+
+
+@pytest.mark.parametrize(
+    ("g", "mask", "expect"), MASK_SEARCH, ids=["clique", "path", "star", "c5"]
+)
+def test_mask_search_table(g, mask, expect):
+    assert _max_independent_mask(g._adj, mask) == sum(1 << v for v in expect)
+
+
+@given(graphs(max_n=10), st.data())
+@settings(max_examples=200, deadline=None)
+def test_mask_search_matches_brute_force_on_the_induced_subgraph(g, data):
+    members = data.draw(st.lists(st.sampled_from(g.vertices), unique=True))
+    mask = sum(1 << v for v in members)
+    expect = brute_force_max_independent_set(induced_subgraph(g, members))
+    assert _max_independent_mask(g._adj, mask) == sum(1 << v for v in expect)
+
+
 @given(graphs())
 @settings(max_examples=150, deadline=None)
 def test_matches_brute_force_including_tie_break(g):
