@@ -326,8 +326,7 @@ def cmd_gen(args) -> Report:
     if os.path.isfile(args.out):
         meta_path = args.out + ".meta.json"
         with open(meta_path, "w") as fh:
-            json.dump(meta, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+            fh.write(_render(meta) + "\n")
         text.append(f"meta: {meta_path}")
     else:
         meta_path = None
@@ -359,8 +358,6 @@ def _conjecture_corpus(t: int, seed: int) -> Iterator[tuple[str, Graph, str]]:
         yield "paste_2xK_{1,2,2,2,2,2}_on_6cliques", clique_paste(
             ((1, 2, 2, 2, 2, 2), (1, 2, 2, 2, 2, 2)), 6, seed
         ), "construction"
-    else:
-        raise ValueError("conjecture search supports t in {6, 7, 8}")
 
 
 def cmd_search_mindegree(args) -> Report:

@@ -125,9 +125,9 @@ def write_edge_list(g: Graph) -> str:
     their ids are already contiguous.
     """
     relabel = dense_ids(g)
-    pairs = sorted((relabel[u], relabel[v]) for u, v in g.edges())
     lines = [f"{g.n} {g.m}"]
-    lines.extend(f"{u} {v}" for u, v in pairs)
+    # the edges ascend, and relabeling keeps their order
+    lines.extend(f"{relabel[u]} {relabel[v]}" for u, v in g.edges())
     return "\n".join(lines) + "\n"
 
 

@@ -76,6 +76,8 @@ def generate(spec: GenSpec, *, cap: int | None = None) -> Graph:
         return g
     if not spec.forbid or spec.forbid < 2:
         raise ValueError("filtered_random needs a forbidden minor order >= 2")
+    if spec.max_rejects < 0:
+        raise ValueError("filtered_random needs max_rejects >= 0")
     return filtered_random(
         _require_n(spec),
         spec.seed,
@@ -102,7 +104,7 @@ def _forest(n: int, seed: int) -> Graph:
     for v in range(1, n):
         if rng.random() < 0.85:
             edges.append((rng.randrange(v), v))
-    return Graph(range(n), edges, max_vertices=max(64, n))
+    return Graph(range(n), edges)
 
 
 def _series_parallel(n: int, seed: int) -> Graph:
@@ -135,7 +137,7 @@ def _series_parallel(n: int, seed: int) -> Graph:
             build(size + 2 - first, s, t)
 
     build(n, 0, 1)
-    return Graph(range(n), sorted(edges), max_vertices=max(64, n))
+    return Graph(range(n), edges)
 
 
 def _planar_triangulation(n: int, seed: int) -> Graph:
@@ -150,7 +152,7 @@ def _planar_triangulation(n: int, seed: int) -> Graph:
         a, b, c = faces.pop(rng.randrange(len(faces)))
         edges.update(((a, v), (b, v), (c, v)))
         faces.extend(((a, b, v), (b, c, v), (a, c, v)))
-    return Graph(range(n), sorted(edges), max_vertices=max(64, n))
+    return Graph(range(n), edges)
 
 
 def complete_multipartite(parts: tuple[int, ...] | list[int]) -> Graph:
@@ -166,7 +168,7 @@ def complete_multipartite(parts: tuple[int, ...] | list[int]) -> Graph:
         for v in range(u + 1, n)
         if part_of[u] != part_of[v]
     ]
-    return Graph(range(n), edges, max_vertices=max(64, n))
+    return Graph(range(n), edges)
 
 
 def clique_paste(

@@ -1,4 +1,4 @@
-"""Simple undirected graphs over small integer vertex ids.
+"""Simple undirected graphs over non-negative integer vertex ids.
 
 A Graph stores only a {vertex: neighbor mask} dict with ascending keys,
 which are its vertex set, and the counts n and m, so _from_adj is linear
@@ -12,18 +12,15 @@ surviving vertices.
 
 induced_subgraph, without_vertex and contract_set are copying wrappers,
 the last two over _Peel, that only callers outside the package use, and
-the `search-mindegree` command is the one caller of min_degree_vertex,
-which asks _Peel for its pick.  All four stay: they are exported API, and
-the benchmark's per-layer tracer (bench/tracing.py) wraps each of them by
-name.
+the `search-mindegree` command is the one caller of min_degree_vertex.
+All four stay: they are exported API, and the benchmark's per-layer tracer
+(bench/tracing.py) wraps each of them by name.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterable, Iterator
-
-DEFAULT_MAX_VERTICES = 64
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -51,8 +48,9 @@ def _closure(adj: dict[int, int], start: int, within: int) -> int:
 class Graph:
     """Immutable simple undirected graph.
 
-    Vertices are small non-negative integers, not necessarily contiguous
-    (contraction leaves holes).  No self-loops, no parallel edges.
+    Vertices are non-negative integers of any size, not necessarily
+    contiguous (contraction leaves holes).  No self-loops, no parallel
+    edges.  max_vertices, if given, refuses any id at or above it.
     """
 
     __slots__ = ("_adj", "n", "m")
@@ -64,19 +62,18 @@ class Graph:
         *,
         max_vertices: int | None = None,
     ):
-        cap = DEFAULT_MAX_VERTICES if max_vertices is None else max_vertices
         adj = {}
         for v in vertices:
             if not isinstance(v, int) or v < 0:
                 raise ValueError(f"vertex ids must be non-negative integers, got {v!r}")
-            if v >= cap:
-                raise ValueError(f"vertex id {v} exceeds the size cap {cap}")
+            if max_vertices is not None and v >= max_vertices:
+                raise ValueError(f"vertex id {v} exceeds the size cap {max_vertices}")
             adj[v] = 0
         adj = dict.fromkeys(sorted(adj), 0)
         for u, v in edges:
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
-            if u not in adj or v not in adj:
+            if not (isinstance(u, int) and u in adj and isinstance(v, int) and v in adj):
                 raise ValueError(f"edge ({u}, {v}) references an unknown vertex")
             adj[u] |= 1 << v
             adj[v] |= 1 << u
@@ -120,7 +117,8 @@ class Graph:
 
     @property
     def vertex_mask(self) -> int:
-        """One bit per vertex; quadratic in n, so only for the capped searches."""
+        """One bit per vertex; as wide as the largest id, so meant for the
+        capped searches."""
         return sum(1 << v for v in self._adj)
 
     def has_vertex(self, v: int) -> bool:
@@ -142,12 +140,12 @@ class Graph:
         return self.neighbor_mask(v).bit_count()
 
     def edges(self) -> list[tuple[int, int]]:
-        """All edges as (u, v) with u < v, ascending."""
+        """All edges as (u, v) with u < v, ascending: the keys ascend, and
+        so do the higher neighbors of each."""
         out = []
         for u, mask in self._adj.items():
             higher = mask >> (u + 1) << (u + 1)
             out.extend((u, w) for w in _bits(higher))
-        out.sort()
         return out
 
     def _check_vertex(self, v: int) -> None:
@@ -222,7 +220,8 @@ def min_degree_vertex(g: Graph) -> tuple[int, int]:
     """A vertex of minimum degree and that degree; ties go to the smallest id."""
     if g.n == 0:
         raise ValueError("empty graph has no minimum-degree vertex")
-    return _Peel(g._adj).min_degree()
+    d, v = min((mask.bit_count(), v) for v, mask in g._adj.items())
+    return v, d
 
 
 # The working-graph kernel.  _Peel is the one code that deletes and
@@ -240,8 +239,7 @@ def min_degree_vertex(g: Graph) -> tuple[int, int]:
 class _Peel:
     """The smallest-last degree queue of Matula & Beck (1983) over a
     working dict adj, which it owns: change adj only through delete and
-    contract, or the buckets go stale.  The constructor only reads adj,
-    so a queue that is only asked for min_degree may share a Graph's."""
+    contract, or the buckets go stale."""
 
     __slots__ = ("adj", "deg", "buckets")
 

@@ -22,7 +22,7 @@ from minorcolor import (
 from minorcolor import bounds
 from minorcolor.cli import _render, main
 from minorcolor.formats import parse_edge_list
-from minorcolor.generators import GenSpec, clique_paste, generate
+from minorcolor.generators import GenSpec, clique_paste, complete_multipartite, generate
 
 from conftest import petersen
 
@@ -80,6 +80,36 @@ def test_gen_writes_file_and_sidecar(tmp_path, capsys):
     run(capsys, "gen", "--family", "planar_triangulation", "--n", "12",
         "--seed", "4", "--out", out2)
     assert (tmp_path / "tri.el").read_text() == (tmp_path / "tri2.el").read_text()
+
+
+def test_gen_complete_multipartite(tmp_path, capsys):
+    out_path = tmp_path / "k22222.el"
+    code, out, _ = run(
+        capsys, "gen", "--family", "complete_multipartite", "--parts", "2,2,2,2,2",
+        "--out", str(out_path),
+    )
+    assert code == 0
+    assert "n=10, m=40" in out
+    assert load_graph(out_path) == complete_multipartite((2, 2, 2, 2, 2))
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("--family", "complete_multipartite", "--parts", "2,x"),
+         "cannot parse part sizes from '2,x'"),
+        (("--family", "complete_multipartite", "--parts", ","), "empty part-size list"),
+        # accepted until refused here: it wrote an edgeless graph and exited 0
+        (("--family", "filtered_random", "--n", "6", "--forbid", "4", "--max-rejects", "-5"),
+         "filtered_random needs max_rejects >= 0"),
+    ],
+    ids=["unparsable-parts", "empty-parts", "negative-max-rejects"],
+)
+def test_gen_refuses_a_bad_spec_exit_three(tmp_path, capsys, argv, message):
+    out_path = tmp_path / "x.el"
+    code, out, err = run(capsys, "gen", *argv, "--out", str(out_path))
+    assert (code, out, err) == (3, "", f"error: {message}\n")
+    assert not out_path.exists()
 
 
 def test_check_minor_finds_witness(tmp_path, capsys):
@@ -359,8 +389,7 @@ def test_color_neighborhood_above_the_mis_cap_exit_four(tmp_path, capsys):
     # every neighborhood of K66 has 65 vertices, one above the exact
     # independent-set search's cap of 64
     path = str(tmp_path / "k66.el")
-    edges = [(u, v) for u in range(66) for v in range(u + 1, 66)]
-    save_graph(Graph(range(66), edges, max_vertices=66), path)
+    save_graph(Graph.complete(66), path)
     code, out, err = run(
         capsys, "color", "--t", "70", "--delta", "70", "--alpha", "2", path
     )

@@ -16,6 +16,7 @@ from minorcolor import (
     without_vertex,
     write_edge_list,
 )
+from minorcolor.generators import GenSpec, generate
 from minorcolor.graph import _Peel
 
 from conftest import graphs, petersen
@@ -39,13 +40,24 @@ def test_self_loop_rejected():
 def test_unknown_endpoint_rejected():
     with pytest.raises(ValueError):
         Graph(range(3), [(0, 5)])
+    # an endpoint is checked as has_vertex checks an id, so 1.0 is no vertex
+    with pytest.raises(ValueError, match="unknown vertex"):
+        Graph(range(3), [(0, 1.0)])
 
 
 def test_vertex_cap():
-    with pytest.raises(ValueError):
-        Graph(range(100))
-    g = Graph(range(100), max_vertices=128)
-    assert g.n == 100
+    # max_vertices refuses only when given, and bench/corpus.py passes it
+    tri = generate(GenSpec("planar_triangulation", n=1600, seed=1))
+    assert Graph(range(1600), tri.edges(), max_vertices=1600) == tri
+    with pytest.raises(ValueError, match="^vertex id 64 exceeds the size cap 64$"):
+        Graph(range(65), max_vertices=64)
+
+
+def test_ids_have_no_default_cap():
+    g = Graph.cycle(100)
+    assert (g.n, g.m) == (100, 100)
+    assert Graph.complete(65).m == 2080
+    assert parse_graph(write_edge_list(g)) == g
 
 
 def test_duplicate_edges_collapse():
@@ -362,6 +374,18 @@ def test_copying_wrappers_match_naive_reference(g, data):
     assert z == _ref_contract(ref, set(s))
     assert h._adj == _as_masks(ref) and h.vertices == tuple(sorted(ref))
     assert g == clone
+
+
+@given(gapped_graphs(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_edges_ascend_for_shuffled_ids_and_after_contraction(g, data):
+    # Graph.edges and write_edge_list rely on this without sorting
+    ids = data.draw(st.permutations(g.vertices))
+    edges = data.draw(st.permutations([(v, u) for u, v in g.edges()]))
+    h = Graph(ids, edges)
+    assert h == g and h.edges() == sorted(h.edges())
+    c, _ = contract_set(h, data.draw(_contracted_sets(_reference(h))))
+    assert c.edges() == sorted(c.edges())
 
 
 @given(graphs(max_n=12))

@@ -44,7 +44,7 @@ def test_petersen_alpha_four():
 
 
 def test_cap_enforced():
-    g = Graph(range(70), max_vertices=128)
+    g = Graph(range(70))
     with pytest.raises(ResourceLimitExceeded):
         max_independent_set(g)
     with pytest.raises(ResourceLimitExceeded):

@@ -66,7 +66,7 @@ def test_invalid_order():
 
 
 def test_search_cap():
-    g = Graph(range(50), max_vertices=64)
+    g = Graph(range(50))
     with pytest.raises(ResourceLimitExceeded) as err:
         has_clique_minor(g, 2)
     assert err.value.cap == 40
