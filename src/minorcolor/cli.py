@@ -69,8 +69,6 @@ EXIT_SHORTFALL = 6
 EXIT_COUNTEREXAMPLE = 7
 EXIT_AUDIT = 8
 
-ORACLE_CAP_ENV = "MINORCOLOR_ORACLE_CAP"
-
 # (exit code, echoed configuration, result, text lines) of one command
 Report = tuple[int, dict, dict, list[str]]
 
@@ -173,9 +171,7 @@ def cmd_color(args) -> Report:
         "cap": args.cap,
     }
     try:
-        report = color_by_contraction(
-            g, args.t, delta, alpha, audit=args.audit, oracle_cap=config["cap"]
-        )
+        report = color_by_contraction(g, args.t, delta, alpha, audit=args.audit, cap=args.cap)
     except (MinDegreeExceeded, IndependenceShortfall, MinorAuditFailed) as exc:
         code, result, text = _finding(exc, config)
         return code, config, result, text
@@ -402,7 +398,7 @@ def cmd_search_mindegree(args) -> Report:
         for index in range(args.samples):
             child_seed = args.seed * 1_000_003 + index
             rng_n = args.n_min + (child_seed % (args.n_max - args.n_min + 1))
-            g = filtered_random(rng_n, child_seed, t + 1, oracle_cap=args.cap)
+            g = filtered_random(rng_n, child_seed, t + 1, cap=args.cap)
             _, mindeg = min_degree_vertex(g)
             max_seen = max(max_seen, mindeg)
             if mindeg > conjectured_delta:
@@ -577,8 +573,8 @@ def build_parser() -> argparse.ArgumentParser:
         sub.choices[name].add_argument(
             "--cap",
             type=_cap,
-            help=f"vertex cap of the exact clique-minor search (default: "
-            f"${ORACLE_CAP_ENV}, else {DEFAULT_SEARCH_CAP})",
+            default=DEFAULT_SEARCH_CAP,
+            help=f"vertex cap of the exact clique-minor search (default: {DEFAULT_SEARCH_CAP})",
         )
     # declared last on every subcommand, so it stays last in each usage line
     for p in sub.choices.values():
@@ -587,14 +583,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if "cap" in vars(args) and args.cap is None:
-        env = os.environ.get(ORACLE_CAP_ENV)
-        try:
-            args.cap = _cap(env) if env else DEFAULT_SEARCH_CAP
-        except argparse.ArgumentTypeError as exc:
-            parser.error(f"{ORACLE_CAP_ENV}: {exc}")
+    args = build_parser().parse_args(argv)
     try:
         code, config, result, text = args.func(args)
     except ResourceLimitExceeded as exc:

@@ -46,7 +46,6 @@ from .errors import (
     MinDegreeExceeded,
     MinorAuditFailed,
     PaletteExhausted,
-    ResourceLimitExceeded,
 )
 from .graph import (
     Coloring,
@@ -55,7 +54,7 @@ from .graph import (
     _Peel,
     is_proper_coloring,
 )
-from .indep import DEFAULT_MIS_CAP, _max_independent_mask
+from .indep import _max_independent_mask
 from .minor import has_clique_minor
 
 
@@ -99,13 +98,16 @@ def color_by_contraction(
     alpha: int,
     *,
     audit: bool = False,
-    oracle_cap: int | None = None,
+    cap: int | None = None,
 ) -> ColorReport:
     """Color g with at most delta - alpha + 2 colors.
 
     The caller asserts g has no complete minor of order t+1; with
     audit=True every neighborhood graph is checked for an order-t minor
-    and a violation raises MinorAuditFailed.
+    and a violation raises MinorAuditFailed.  cap is the vertex cap of
+    that clique-minor search (default minor.DEFAULT_SEARCH_CAP); the
+    independent-set search keeps its own fixed cap of 64.  Either search
+    above its cap raises ResourceLimitExceeded.
     """
     if t < 2:
         raise ValueError("t must be >= 2")
@@ -123,11 +125,9 @@ def color_by_contraction(
         nbrs = adj[v]
         if audit:
             neighborhood = _neighborhood(adj, nbrs)
-            model = has_clique_minor(neighborhood, t, cap=oracle_cap)
+            model = has_clique_minor(neighborhood, t, cap=cap)
             if model is not None:
                 raise MinorAuditFailed(model, neighborhood)
-        if d > DEFAULT_MIS_CAP:
-            raise ResourceLimitExceeded("independent-set search", d, DEFAULT_MIS_CAP)
         chosen = _max_independent_mask(adj, nbrs)
         found, required = chosen.bit_count(), alpha - (delta - d)
         if found < required:
@@ -150,7 +150,9 @@ def color_by_contraction(
 def replay_trace(g: Graph, trace: ContractionTrace, delta: int, alpha: int) -> Coloring:
     """Re-run a recorded trace against its original graph, verifying each
     step, and rebuild the coloring from scratch.  Raises ValueError on any
-    mismatch between the trace and what the graph dictates."""
+    mismatch between the trace and what the graph dictates, and on a step
+    of degree d > 0 that merges nothing: the descent never makes one, since
+    a non-empty neighborhood has a non-empty maximum independent set."""
     palette = palette_bound(delta, alpha)
     recorded = iter(trace.steps)
 
@@ -159,6 +161,8 @@ def replay_trace(g: Graph, trace: ContractionTrace, delta: int, alpha: int) -> C
         if step is None or (step.vertex, step.degree) != (v, d):
             raise ValueError(f"graph has vertex {v} of degree {d} next, trace has {step}")
         s = step.independent_set
+        if d and not s:
+            raise ValueError(f"trace step at vertex {v} merges nothing: its set is empty")
         if not all((adj[v] >> u) & 1 for u in s) or any(
             (adj[u] >> w) & 1 for u in s for w in s
         ):

@@ -3,7 +3,7 @@
 Four families are minor-free by construction (forest, series_parallel,
 planar_triangulation, clique_paste of the known multipartite blocks);
 complete_multipartite blocks carry known guarantees; filtered_random is
-certified by querying the exact oracle after every tentative edge it has
+certified by the exact clique-minor search after every tentative edge it has
 not already seen rejected.
 Equal specs always produce identical graphs.
 """
@@ -50,8 +50,9 @@ BLOCK_MINOR_FREE_ORDER = {
 
 
 def generate(spec: GenSpec, *, cap: int | None = None) -> Graph:
-    """The graph spec describes.  cap is the exact oracle's size cap for
-    filtered_random; it can make generation fail, never change the graph."""
+    """The graph spec describes.  cap is the vertex cap of the clique-minor
+    search that filtered_random runs; it can make generation fail, never
+    change the graph."""
     if spec.family not in FAMILIES:
         raise ValueError(f"unknown family {spec.family!r}")
     if spec.family == "forest":
@@ -83,12 +84,12 @@ def generate(spec: GenSpec, *, cap: int | None = None) -> Graph:
         spec.seed,
         spec.forbid,
         max_rejects=spec.max_rejects,
-        oracle_cap=cap,
+        cap=cap,
     )
 
 
 def certify(g: Graph, order: int, *, cap: int | None = None) -> bool:
-    """True iff the exact oracle finds no complete minor of the order."""
+    """True iff the exact search finds no complete minor of the order."""
     return has_clique_minor(g, order, cap=cap) is None
 
 
@@ -217,17 +218,19 @@ def filtered_random(
     forbid: int,
     *,
     max_rejects: int = 30,
-    oracle_cap: int | None = None,
+    cap: int | None = None,
 ) -> Graph:
     """Grow a random graph one edge at a time, dropping any addition the
-    oracle says creates the forbidden minor; stop after max_rejects
+    exact search says creates the forbidden minor; stop after max_rejects
     consecutive rejections (edge-maximal-ish instances).
 
     A rejected pair is remembered and, when drawn again, rejected without
-    asking the oracle.  That is sound because the graph only gains edges
+    searching again.  That is sound because the graph only gains edges
     and having a K_t minor is monotone under adding edges: a pair whose
     edge once created the minor still creates it.  The draws and the
-    output are the same as with an oracle call every time."""
+    output are the same as with a search every time.  cap is the vertex
+    cap of has_clique_minor (default minor.DEFAULT_SEARCH_CAP);
+    a call above it raises ResourceLimitExceeded."""
     rng = random.Random(seed)
     adj = {v: 0 for v in range(n)}
     rejected: set[tuple[int, int]] = set()
@@ -248,7 +251,7 @@ def filtered_random(
         trial = dict(adj)
         trial[u] |= 1 << v
         trial[v] |= 1 << u
-        if has_clique_minor(Graph._from_adj(trial), forbid, cap=oracle_cap) is None:
+        if has_clique_minor(Graph._from_adj(trial), forbid, cap=cap) is None:
             adj = trial
             rejections = 0
         else:

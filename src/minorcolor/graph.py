@@ -31,6 +31,11 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def _is_id(v) -> bool:
+    """The vertex-id rule: a non-negative int that is not a bool."""
+    return isinstance(v, int) and not isinstance(v, bool) and v >= 0
+
+
 def _closure(adj: dict[int, int], start: int, within: int) -> int:
     """The vertices of the mask within reachable from the mask start
     (a subset of within) along edges inside within."""
@@ -48,9 +53,10 @@ def _closure(adj: dict[int, int], start: int, within: int) -> int:
 class Graph:
     """Immutable simple undirected graph.
 
-    Vertices are non-negative integers of any size, not necessarily
-    contiguous (contraction leaves holes).  No self-loops, no parallel
-    edges.  max_vertices, if given, refuses any id at or above it.
+    Vertices are non-negative ints of any size, but not bools (_is_id),
+    and not necessarily contiguous (contraction leaves holes).  No
+    self-loops, no parallel edges.  max_vertices, if given, refuses any
+    id at or above it.
     """
 
     __slots__ = ("_adj", "n", "m")
@@ -64,7 +70,7 @@ class Graph:
     ):
         adj = {}
         for v in vertices:
-            if not isinstance(v, int) or v < 0:
+            if not _is_id(v):
                 raise ValueError(f"vertex ids must be non-negative integers, got {v!r}")
             if max_vertices is not None and v >= max_vertices:
                 raise ValueError(f"vertex id {v} exceeds the size cap {max_vertices}")
@@ -73,7 +79,7 @@ class Graph:
         for u, v in edges:
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
-            if not (isinstance(u, int) and u in adj and isinstance(v, int) and v in adj):
+            if not (_is_id(u) and u in adj and _is_id(v) and v in adj):
                 raise ValueError(f"edge ({u}, {v}) references an unknown vertex")
             adj[u] |= 1 << v
             adj[v] |= 1 << u
@@ -122,7 +128,7 @@ class Graph:
         return sum(1 << v for v in self._adj)
 
     def has_vertex(self, v: int) -> bool:
-        return isinstance(v, int) and v in self._adj
+        return _is_id(v) and v in self._adj
 
     def has_edge(self, u: int, v: int) -> bool:
         self._check_vertex(u)

@@ -1,23 +1,12 @@
 """Exact maximum independent sets and the closed-form independence bounds.
 
-_max_independent_mask is one search over a {vertex: neighbor mask} dict,
-restricted to a vertex mask, so the coloring descent runs it on a
-neighborhood of its working graph without copying one out;
-max_independent_set is its capped wrapper for a Graph.  It first builds
-the greedy set: take the lowest vertex, drop its closed neighborhood,
-repeat.  Where another independent set first differs from it, the greedy
-set holds the lower vertex, since it took the lowest vertex that their
-common prefix left free; so a greedy set of maximum size is the
-lexicographically least maximum set.  When its size meets a clique-cover
-bound it is certified maximum and returned, as it is on nearly every
-neighborhood of the coloring descent.  Otherwise a branch and bound starts
-from it.  That decides the lowest remaining vertex, taking it before
-leaving it out, and keeps only strictly larger sets, so it keeps the first
-maximum set it meets.  That set is the lexicographically least: two sets
-of equal size first differ at a vertex that one of them takes, and the
-search meets that one first.  A vertex with no neighbor left is taken
-outright.  That keeps the order, since such a vertex is in every maximum
-set of its branch and removing it changes no other vertex's degree.
+_max_independent_mask is the one exact search, and the one place its
+vertex cap (default 64) is enforced.  It runs over a {vertex: neighbor
+mask} dict restricted to a vertex mask, so the coloring descent runs it
+on a neighborhood of its working graph without copying one out;
+max_independent_set is its wrapper for a Graph and independence_number
+that set's size.  Its docstring says why the set it returns is the
+lexicographically least maximum one.
 
 The three bound variants give a guaranteed independent-set size for an
 n-vertex graph with no complete minor of order t+1:
@@ -82,31 +71,30 @@ def applicable_variants(t: int) -> tuple[str, ...]:
     return ("a", "b", "c") if t >= 5 else ("a", "c")
 
 
-def independence_number(g: Graph, *, cap: int | None = None) -> int:
+def independence_number(g: Graph, *, cap: int = DEFAULT_MIS_CAP) -> int:
     """Exact independence number: the size of max_independent_set."""
     return len(max_independent_set(g, cap=cap))
 
 
-def max_independent_set(g: Graph, *, cap: int | None = None) -> frozenset[int]:
+def max_independent_set(g: Graph, *, cap: int = DEFAULT_MIS_CAP) -> frozenset[int]:
     """An exact maximum independent set; deterministically the one whose
     sorted member list is lexicographically least (see
     _max_independent_mask)."""
-    limit = DEFAULT_MIS_CAP if cap is None else cap
-    if g.n > limit:
-        raise ResourceLimitExceeded("independent-set search", g.n, limit)
-    return frozenset(_bits(_max_independent_mask(g._adj, g.vertex_mask)))
+    return frozenset(_bits(_max_independent_mask(g._adj, g.vertex_mask, cap)))
 
 
-def _max_independent_mask(adj: dict[int, int], mask: int) -> int:
+def _max_independent_mask(adj: dict[int, int], mask: int, cap: int = DEFAULT_MIS_CAP) -> int:
     """The lexicographically least maximum independent set of the subgraph
     that the vertex mask induces in adj, as a mask.  Every step ANDs with
     mask, so adj may hold more vertices than mask, and its masks may reach
-    outside mask.
+    outside mask.  A mask of more than cap vertices raises
+    ResourceLimitExceeded.
 
     The greedy set takes the lowest vertex and drops its closed
     neighborhood until mask is used up.  Where another independent set
-    first differs from it, the greedy set holds the lower vertex, so when
-    it is maximum it is the answer.  It is returned at once when its size
+    first differs from it, the greedy set holds the lower vertex, since it
+    took the lowest vertex that their common prefix left free; so when it
+    is maximum it is the answer.  It is returned at once when its size
     meets the clique-cover bound of mask, which proves it maximum.
     Otherwise the branch and bound starts with it as the best set and
     keeps only strictly larger ones, so it returns the first maximum set
@@ -119,6 +107,9 @@ def _max_independent_mask(adj: dict[int, int], mask: int) -> int:
     starting set that is not maximum cuts no branch that leads to a
     maximum set.
     """
+    size = mask.bit_count()
+    if size > cap:
+        raise ResourceLimitExceeded("independent-set search", size, cap)
     best, rest = 0, mask
     while rest:
         low = rest & -rest

@@ -397,11 +397,10 @@ def test_color_neighborhood_above_the_mis_cap_exit_four(tmp_path, capsys):
     assert err == "error: independent-set search: instance size 65 exceeds cap 64\n"
 
 
-def test_oracle_cap_env_override(tmp_path, capsys, monkeypatch):
+def test_cap_flag_raises_the_cap(tmp_path, capsys):
     path = str(tmp_path / "big.el")
     save_graph(generate(GenSpec("forest", n=50, seed=1)), path)
-    monkeypatch.setenv("MINORCOLOR_ORACLE_CAP", "60")
-    code, out, _ = run(capsys, "check-minor", "--t", "3", path)
+    code, out, _ = run(capsys, "check-minor", "--t", "3", "--cap", "60", path)
     assert code == 0
     assert "none" in out
 
@@ -412,22 +411,31 @@ def test_cap_flag(tmp_path, capsys, monkeypatch):
     code, _, err = run(capsys, "check-minor", "--t", "3", "--cap", "5", path)
     assert code == 4
     assert "cap" in err
-    # the flag wins over the environment
-    monkeypatch.setenv("MINORCOLOR_ORACLE_CAP", "5")
     code, out, _ = run(capsys, "check-minor", "--t", "3", "--cap", "6", path)
     assert code == 0
     assert "FOUND" in out
-    # a bad cap is a usage error, from the flag or from the environment
+    # a bad cap is a usage error
     for bad in ("-1", "abc"):
         with pytest.raises(SystemExit) as exc:
             main(["check-minor", "--t", "3", "--cap", bad, path])
         assert exc.value.code == 2
         assert f"argument --cap: invalid cap {bad!r}" in capsys.readouterr().err
-    monkeypatch.setenv("MINORCOLOR_ORACLE_CAP", "abc")
-    with pytest.raises(SystemExit) as exc:
-        main(["check-minor", "--t", "3", path])
-    assert exc.value.code == 2
-    assert "MINORCOLOR_ORACLE_CAP: invalid cap 'abc'" in capsys.readouterr().err
+    # --cap is the only source of the cap: the variable that once set it
+    # changes nothing, valid or not
+    for value in ("5", "abc"):
+        monkeypatch.setenv("MINORCOLOR_ORACLE_CAP", value)
+        code, out, err = run(capsys, "check-minor", "--t", "3", path, "--format", "structured")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["config"]["cap"] == 40
+
+
+def test_color_audit_runs_under_the_cap(tmp_path, capsys):
+    # the first neighborhood the audit searches has 3 vertices
+    path = str(tmp_path / "tri.el")
+    save_graph(generate(GenSpec("planar_triangulation", n=12, seed=1)), path)
+    code, out, err = run(capsys, "color", "--t", "4", "--audit", "--cap", "2", path)
+    assert (code, out) == (4, "")
+    assert err == "error: clique-minor search: instance size 3 exceeds cap 2\n"
 
 
 def test_search_mindegree_corpus_t7(capsys):
@@ -500,7 +508,6 @@ def test_usage_error_golden(monkeypatch, capsys, argv, code, stream, digest):
 
 def test_calls_in_one_process_share_no_state(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv("MINORCOLOR_ORACLE_CAP", raising=False)
     save_graph(Graph.cycle(5), "five.el")
     save_graph(generate(GenSpec("planar_triangulation", n=10, seed=1)), "tri.el")
 
@@ -514,10 +521,7 @@ def test_calls_in_one_process_share_no_state(tmp_path, monkeypatch, capsys):
     assert config("check-minor", "--t", "3", "five.el")["cap"] == 40
     assert config("color", "--t", "4", "--audit", "tri.el")["audit"] is True
     assert config("color", "--t", "4", "tri.el")["audit"] is False
-    # the environment is read on every call
-    monkeypatch.setenv("MINORCOLOR_ORACLE_CAP", "7")
-    assert config("check-minor", "--t", "3", "five.el")["cap"] == 7
-    # and so is the terminal width, when a usage error is printed
+    # the terminal width is read on every call that prints a usage error
     widths = []
     for columns in ("80", "200"):
         monkeypatch.setenv("COLUMNS", columns)

@@ -12,6 +12,7 @@ from minorcolor import (
     MinDegreeExceeded,
     MinorAuditFailed,
     MinorColorError,
+    ResourceLimitExceeded,
     color_by_contraction,
     elimination_order,
     greedy_degeneracy_color,
@@ -99,6 +100,14 @@ def test_audit_mode_passes_on_certified_inputs():
 def test_audit_mode_catches_premise_violation():
     with pytest.raises(MinorAuditFailed):
         color_by_contraction(Graph.complete(7), 6, 9, 2, audit=True)
+
+
+def test_audit_runs_under_the_given_cap():
+    # the first neighborhood has 3 vertices, one above cap 2
+    g = generate(GenSpec("planar_triangulation", n=12, seed=1))
+    with pytest.raises(ResourceLimitExceeded) as err:
+        color_by_contraction(g, 4, 5, 2, audit=True, cap=2)
+    assert str(err.value) == "clique-minor search: instance size 3 exceeds cap 2"
 
 
 def test_isolated_vertices_reuse_existing_color():
@@ -199,6 +208,14 @@ def _tamper_dependent_set(trace, g):
     trace.steps[0] = replace(step, independent_set=frozenset(edge))
 
 
+def _tamper_empty_merge(trace, g):
+    # every field but the empty set is what the lift computes for it, so
+    # only the empty-set check refuses this trace
+    step = trace.steps[0]
+    empty = replace(step, independent_set=frozenset(), merged_vertex=step.vertex)
+    trace.steps.insert(0, empty)
+
+
 @pytest.mark.parametrize(
     "tamper, message",
     [
@@ -206,6 +223,7 @@ def _tamper_dependent_set(trace, g):
         (_tamper_merged_vertex, "different trace"),
         (_tamper_base_size, "different trace"),
         (_tamper_dependent_set, "not independent"),
+        (_tamper_empty_merge, "^trace step at vertex 5 merges nothing"),
     ],
 )
 def test_replay_rejects_tampered_trace(tamper, message):

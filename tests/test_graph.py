@@ -45,6 +45,25 @@ def test_unknown_endpoint_rejected():
         Graph(range(3), [(0, 1.0)])
 
 
+def test_bool_is_no_vertex_id():
+    # bool is an int subclass; one rule refuses it as a vertex, as an
+    # edge endpoint and in has_vertex, and other ints keep working
+    with pytest.raises(ValueError, match="non-negative integers, got True"):
+        Graph([True, 2], [(True, 2)])
+    with pytest.raises(ValueError, match="unknown vertex"):
+        Graph(range(3), [(False, 2)])
+    k3 = Graph.complete(3)
+    assert not k3.has_vertex(True) and not k3.has_vertex(False)
+    with pytest.raises(ValueError, match="unknown vertex id True"):
+        k3.degree(True)
+
+    class Id(int):
+        pass
+
+    g = Graph([Id(0), 1], [(Id(0), 1)])
+    assert g.has_vertex(Id(0)) and g.has_edge(0, 1)
+
+
 def test_vertex_cap():
     # max_vertices refuses only when given, and bench/corpus.py passes it
     tri = generate(GenSpec("planar_triangulation", n=1600, seed=1))

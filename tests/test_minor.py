@@ -81,6 +81,12 @@ def test_validate_model_rejects_overlap():
     assert not validate_model(k5, overlapping)
 
 
+def test_validate_model_rejects_bool_ids():
+    k2 = Graph.complete(2)
+    assert validate_model(k2, MinorModel((frozenset({1}), frozenset({0}))))
+    assert not validate_model(k2, MinorModel((frozenset({True}), frozenset({0}))))
+
+
 def test_validate_model_path_as_k2():
     p4 = Graph.path(4)
     assert validate_model(p4, MinorModel((frozenset({0, 1}), frozenset({2, 3}))))
