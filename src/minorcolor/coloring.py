@@ -21,6 +21,8 @@ The recursion runs as one loop that peels a mutable working graph in
 place, then one loop that lifts the coloring back, so instance-size-deep
 recursions never touch the interpreter limit.  Every run produces a
 step-by-step trace; replay_trace drives the same two loops to check it.
+The minimum-degree greedy, the paper's delta + 1 baseline, is the same
+two loops with T empty at every step (greedy_degeneracy_color).
 
 The working graph is graph._Peel, the package's one code that deletes and
 contracts (the minor search's reductions go through it too).  It files
@@ -55,7 +57,7 @@ from .graph import (
     is_proper_coloring,
 )
 from .indep import _max_independent_mask
-from .minor import has_clique_minor
+from .minor import DEFAULT_SEARCH_CAP, has_clique_minor
 
 
 @dataclass(frozen=True)
@@ -63,7 +65,7 @@ class TraceStep:
     vertex: int
     degree: int
     independent_set: frozenset[int]
-    merged_vertex: int | None  # None when the step removed an isolated vertex
+    merged_vertex: int | None  # None when the step deleted the vertex
     color: int
 
 
@@ -98,16 +100,16 @@ def color_by_contraction(
     alpha: int,
     *,
     audit: bool = False,
-    cap: int | None = None,
+    cap: int = DEFAULT_SEARCH_CAP,
 ) -> ColorReport:
     """Color g with at most delta - alpha + 2 colors.
 
     The caller asserts g has no complete minor of order t+1; with
     audit=True every neighborhood graph is checked for an order-t minor
     and a violation raises MinorAuditFailed.  cap is the vertex cap of
-    that clique-minor search (default minor.DEFAULT_SEARCH_CAP); the
-    independent-set search keeps its own fixed cap of 64.  Either search
-    above its cap raises ResourceLimitExceeded.
+    that clique-minor search; the independent-set search keeps its own
+    fixed cap of 64.  Either search above its cap raises
+    ResourceLimitExceeded.
     """
     if t < 2:
         raise ValueError("t must be >= 2")
@@ -151,8 +153,9 @@ def replay_trace(g: Graph, trace: ContractionTrace, delta: int, alpha: int) -> C
     """Re-run a recorded trace against its original graph, verifying each
     step, and rebuild the coloring from scratch.  Raises ValueError on any
     mismatch between the trace and what the graph dictates, and on a step
-    of degree d > 0 that merges nothing: the descent never makes one, since
-    a non-empty neighborhood has a non-empty maximum independent set."""
+    of degree d > 0 that merges nothing: color_by_contraction never makes
+    one, since a non-empty neighborhood has a non-empty maximum independent
+    set."""
     palette = palette_bound(delta, alpha)
     recorded = iter(trace.steps)
 
@@ -163,11 +166,10 @@ def replay_trace(g: Graph, trace: ContractionTrace, delta: int, alpha: int) -> C
         s = step.independent_set
         if d and not s:
             raise ValueError(f"trace step at vertex {v} merges nothing: its set is empty")
-        if not all((adj[v] >> u) & 1 for u in s) or any(
-            (adj[u] >> w) & 1 for u in s for w in s
-        ):
+        smask = sum(1 << u for u in s)
+        if smask & ~adj[v] or any(adj[u] & smask for u in s):
             raise ValueError(f"trace set {sorted(s)} is not independent in N({v})")
-        return sum(1 << u for u in s)
+        return smask
 
     try:
         coloring, rebuilt = _descend_and_lift(dict(g._adj), choose, palette)
@@ -189,22 +191,25 @@ def _descend_and_lift(
     palette: int,
 ) -> tuple[Coloring, ContractionTrace]:
     """The descent peels adj in place down to at most one vertex: each step
-    takes the minimum-degree vertex v of degree d, deletes it when d = 0 and
-    otherwise merges it with the vertex mask choose(v, d, adj).  The lift
-    colors what is left with 0 and undoes the steps in reverse order.  A
-    contraction only adds ids above its z, which is colored already, so the
-    lowest colored id changes only when an isolated vertex comes back."""
+    takes the minimum-degree vertex v of degree d and merges it with the
+    vertex mask choose(v, d, adj), or deletes it when that mask is empty.
+    The lift colors what is left with 0 and undoes the steps in reverse
+    order: a merge gives its set z's color, then v takes the least color
+    absent from the neighbors it had, or at d = 0 the lowest colored id's
+    color.  A contraction only adds ids above its z, which is colored
+    already, so the lowest colored id changes only when a deleted vertex
+    comes back."""
     peel = _Peel(adj)
     pending = []
     while len(adj) > 1:
         v, d = peel.min_degree()
         chosen = choose(v, d, adj)
         nbrs = adj[v]
-        if d == 0:
+        if chosen:
+            z = peel.contract(chosen | 1 << v)
+        else:
             peel.delete(v)
             z = None
-        else:
-            z = peel.contract(chosen | 1 << v)
         pending.append((v, d, chosen, z, nbrs))
 
     assignment: dict[int, int] = {v: 0 for v in adj}
@@ -214,11 +219,9 @@ def _descend_and_lift(
         members = frozenset(_bits(chosen))
         if d == 0:
             color = assignment[lowest]
-            lowest = min(lowest, v)
         else:
-            merged_color = assignment[z]
             for u in members:
-                assignment[u] = merged_color
+                assignment[u] = assignment[z]
             used = 0
             for u in _bits(nbrs):
                 used |= 1 << assignment[u]
@@ -227,6 +230,8 @@ def _descend_and_lift(
                 raise PaletteExhausted(
                     f"all {palette} colors appear on the neighborhood of {v}"
                 )
+        if z is None:
+            lowest = min(lowest, v)
         assignment[v] = color
         steps.append(TraceStep(v, d, members, z, color))
     steps.reverse()
@@ -247,15 +252,9 @@ def elimination_order(g: Graph) -> tuple[list[int], int]:
 
 
 def greedy_degeneracy_color(g: Graph) -> Coloring:
-    """Color along the reverse minimum-degree elimination order with the
-    least available color; uses at most degeneracy + 1 colors."""
-    order, _ = elimination_order(g)
-    assignment: dict[int, int] = {}
-    for v in reversed(order):
-        used = {assignment[u] for u in g.neighbors(v) if u in assignment}
-        c = 0
-        while c in used:
-            c += 1
-        assignment[v] = c
-    palette = max(assignment.values()) + 1 if assignment else 0
-    return Coloring(assignment, palette)
+    """The minimum-degree greedy, in at most degeneracy + 1 colors: the
+    contraction descent with nothing merged, under a palette of g.n + 1
+    that no lift step can exhaust.  The returned palette is one above the
+    largest color used."""
+    coloring, _ = _descend_and_lift(dict(g._adj), lambda v, d, adj: 0, g.n + 1)
+    return Coloring(coloring.assignment, max(coloring.assignment.values(), default=-1) + 1)

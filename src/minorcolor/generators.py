@@ -15,7 +15,7 @@ from bisect import insort
 from dataclasses import dataclass
 
 from .graph import Graph, _bits
-from .minor import _cliques, has_clique_minor
+from .minor import DEFAULT_SEARCH_CAP, _cliques, has_clique_minor
 
 
 @dataclass(frozen=True)
@@ -39,17 +39,7 @@ FAMILIES = (
     "filtered_random",
 )
 
-# Smallest complete-minor order each named block excludes (oracle-exact);
-# pasting blocks on cliques preserves these.
-BLOCK_MINOR_FREE_ORDER = {
-    (2, 2, 2, 2, 2): 8,
-    (2, 2, 2, 3, 3): 9,
-    (1, 2, 2, 2, 2, 2): 9,
-    (1, 2, 2, 2, 2): 8,
-}
-
-
-def generate(spec: GenSpec, *, cap: int | None = None) -> Graph:
+def generate(spec: GenSpec, *, cap: int = DEFAULT_SEARCH_CAP) -> Graph:
     """The graph spec describes.  cap is the vertex cap of the clique-minor
     search that filtered_random runs; it can make generation fail, never
     change the graph."""
@@ -88,7 +78,7 @@ def generate(spec: GenSpec, *, cap: int | None = None) -> Graph:
     )
 
 
-def certify(g: Graph, order: int, *, cap: int | None = None) -> bool:
+def certify(g: Graph, order: int, *, cap: int = DEFAULT_SEARCH_CAP) -> bool:
     """True iff the exact search finds no complete minor of the order."""
     return has_clique_minor(g, order, cap=cap) is None
 
@@ -218,7 +208,7 @@ def filtered_random(
     forbid: int,
     *,
     max_rejects: int = 30,
-    cap: int | None = None,
+    cap: int = DEFAULT_SEARCH_CAP,
 ) -> Graph:
     """Grow a random graph one edge at a time, dropping any addition the
     exact search says creates the forbidden minor; stop after max_rejects
@@ -229,8 +219,8 @@ def filtered_random(
     and having a K_t minor is monotone under adding edges: a pair whose
     edge once created the minor still creates it.  The draws and the
     output are the same as with a search every time.  cap is the vertex
-    cap of has_clique_minor (default minor.DEFAULT_SEARCH_CAP);
-    a call above it raises ResourceLimitExceeded."""
+    cap of has_clique_minor; a call above it raises
+    ResourceLimitExceeded."""
     rng = random.Random(seed)
     adj = {v: 0 for v in range(n)}
     rejected: set[tuple[int, int]] = set()

@@ -235,11 +235,12 @@ def min_degree_vertex(g: Graph) -> tuple[int, int]:
 # descent, the exact search's reductions (minor._reduce) and the copying
 # wrappers above all go through it.  Keys are only ever deleted (a
 # contraction keeps the smallest id of its set), so a dict built ascending
-# stays ascending.  Besides the dict, _Peel keeps deg[v] ==
-# adj[v].bit_count() and one bitmask per degree, with bit v set in
-# buckets[d] exactly when deg[v] == d.  The lowest set bit of the lowest
-# non-empty bucket is then the minimum-degree vertex with the smallest id,
-# and delete and contract move only the vertices whose degree they change.
+# stays ascending.  Besides the dict, _Peel keeps one bitmask per degree,
+# with bit v set in buckets[d] exactly when adj[v].bit_count() == d; delete
+# and contract read each old degree off the mask they already hold.  The
+# lowest set bit of the lowest non-empty bucket is then the minimum-degree
+# vertex with the smallest id, and delete and contract move only the
+# vertices whose degree they change.
 
 
 class _Peel:
@@ -247,15 +248,13 @@ class _Peel:
     working dict adj, which it owns: change adj only through delete and
     contract, or the buckets go stale."""
 
-    __slots__ = ("adj", "deg", "buckets")
+    __slots__ = ("adj", "buckets")
 
     def __init__(self, adj: dict[int, int]):
         self.adj = adj
-        self.deg = deg = {}
         self.buckets = buckets = [0] * (len(adj) + 1)
         for v, mask in adj.items():
-            deg[v] = d = mask.bit_count()
-            buckets[d] |= 1 << v
+            buckets[mask.bit_count()] |= 1 << v
 
     def min_degree(self) -> tuple[int, int]:
         buckets = self.buckets
@@ -265,13 +264,14 @@ class _Peel:
         return (buckets[d] & -buckets[d]).bit_length() - 1, d
 
     def delete(self, v: int) -> None:
-        adj, deg, buckets = self.adj, self.deg, self.buckets
+        adj, buckets = self.adj, self.buckets
         vbit = 1 << v
-        buckets[deg.pop(v)] ^= vbit
-        for u in _bits(adj.pop(v)):
-            adj[u] ^= vbit
-            d = deg[u]
-            deg[u] = d - 1
+        nbrs = adj.pop(v)
+        buckets[nbrs.bit_count()] ^= vbit
+        for u in _bits(nbrs):
+            mask = adj[u]
+            adj[u] = mask ^ vbit
+            d = mask.bit_count()
             ubit = 1 << u
             buckets[d] ^= ubit
             buckets[d - 1] |= ubit
@@ -281,28 +281,28 @@ class _Peel:
         return z.  Only the outside neighbors of the members other than z
         get new masks; each such u goes from degree d to
         d - |adj[u] & smask| + 1, and z to |adj[z]|."""
-        adj, deg, buckets = self.adj, self.deg, self.buckets
+        adj, buckets = self.adj, self.buckets
         z = (smask & -smask).bit_length() - 1
         zbit = 1 << z
         moved = 0
         for v in _bits(smask ^ zbit):
-            buckets[deg.pop(v)] ^= 1 << v
-            moved |= adj.pop(v)
+            mask = adj.pop(v)
+            buckets[mask.bit_count()] ^= 1 << v
+            moved |= mask
         moved &= ~smask
         for u in _bits(moved):
             mask = adj[u]
             adj[u] = (mask & ~smask) | zbit
             k = (mask & smask).bit_count()
             if k > 1:
-                d = deg[u]
-                deg[u] = d - k + 1
+                d = mask.bit_count()
                 ubit = 1 << u
                 buckets[d] ^= ubit
                 buckets[d - k + 1] |= ubit
-        adj[z] = znbrs = (adj[z] | moved) & ~smask
-        buckets[deg[z]] ^= zbit
-        deg[z] = d = znbrs.bit_count()
-        buckets[d] |= zbit
+        mask = adj[z]
+        buckets[mask.bit_count()] ^= zbit
+        adj[z] = znbrs = (mask | moved) & ~smask
+        buckets[znbrs.bit_count()] |= zbit
         return z
 
 

@@ -117,18 +117,17 @@ def validate_model(g: Graph, model: MinorModel) -> bool:
 
 
 def has_clique_minor(
-    g: Graph, t: int, *, cap: int | None = None
+    g: Graph, t: int, *, cap: int = DEFAULT_SEARCH_CAP
 ) -> MinorModel | None:
     """Return a branch-set witness of a K_t minor, or None if there is none.
 
     Deterministic: vertices are always considered in ascending id order.
-    Raises ResourceLimitExceeded above the search cap (default 40).
+    Raises ResourceLimitExceeded when g has more than cap vertices.
     """
     if t < 1:
         raise ValueError("minor order must be >= 1")
-    limit = DEFAULT_SEARCH_CAP if cap is None else cap
-    if g.n > limit:
-        raise ResourceLimitExceeded("clique-minor search", g.n, limit)
+    if g.n > cap:
+        raise ResourceLimitExceeded("clique-minor search", g.n, cap)
     adj, merges = _reduce(g, t)
     if len(adj) < t:
         return None

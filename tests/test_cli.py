@@ -742,6 +742,13 @@ def test_search_mindegree_rejects_samples_below_one(capsys, samples):
     assert "samples" in err
 
 
+def test_search_mindegree_rejects_n_min_above_n_max(capsys):
+    code, out, err = run(
+        capsys, "search-mindegree", "--t", "6", "--mode", "random", "--n-min", "9", "--n-max", "8"
+    )
+    assert (code, out, err) == (3, "", "error: need 1 <= n-min <= n-max\n")
+
+
 def test_input_sha256_is_the_digest_of_the_bytes_parsed(tmp_path):
     # a pipe can be read only once, so a second read for the hash sees nothing
     path = tmp_path / "petersen.el"

@@ -38,6 +38,13 @@ def test_palette_bound_validation():
         palette_bound(0, 2)
 
 
+def test_color_by_contraction_rejects_bad_parameters():
+    with pytest.raises(ValueError, match="^t must be >= 2$"):
+        color_by_contraction(Graph.complete(2), 1, 1, 1)
+    with pytest.raises(ValueError, match="^delta and alpha must be >= 1$"):
+        color_by_contraction(Graph.complete(2), 2, 0, 1)
+
+
 def test_color_by_contraction_rejects_too_small_palette():
     with pytest.raises(ValueError):
         color_by_contraction(Graph.complete(2), 2, 1, 2)  # palette would be 1
@@ -208,6 +215,17 @@ def _tamper_dependent_set(trace, g):
     trace.steps[0] = replace(step, independent_set=frozenset(edge))
 
 
+ISOLATED_AND_PATH = Graph(range(4), [(1, 2), (2, 3)])
+
+
+def _tamper_isolated_merge(trace, g):
+    # a degree-0 step given a set: the descent merges whenever the set is
+    # non-empty, so replay must refuse to merge an isolated vertex
+    step = trace.steps[0]
+    assert step.degree == 0
+    trace.steps[0] = replace(step, independent_set=frozenset({1}))
+
+
 def _tamper_empty_merge(trace, g):
     # every field but the empty set is what the lift computes for it, so
     # only the empty-set check refuses this trace
@@ -224,10 +242,14 @@ def _tamper_empty_merge(trace, g):
         (_tamper_base_size, "different trace"),
         (_tamper_dependent_set, "not independent"),
         (_tamper_empty_merge, "^trace step at vertex 5 merges nothing"),
+        (_tamper_isolated_merge, r"not independent in N\("),
     ],
 )
 def test_replay_rejects_tampered_trace(tamper, message):
-    g = generate(GenSpec("planar_triangulation", n=12, seed=1))
+    if tamper is _tamper_isolated_merge:
+        g = ISOLATED_AND_PATH
+    else:
+        g = generate(GenSpec("planar_triangulation", n=12, seed=1))
     trace = color_by_contraction(g, 4, 5, 2).trace
     tamper(trace, g)
     with pytest.raises(ValueError, match=message):
@@ -242,6 +264,23 @@ def test_greedy_within_degeneracy_plus_one(g):
     if g.n:
         assert is_proper_coloring(g, coloring)
         assert coloring.colors_used() <= degeneracy + 1
+
+
+@given(graphs(max_n=12))
+@settings(max_examples=100, deadline=None)
+def test_greedy_is_first_fit_along_the_elimination_order(g):
+    """Each vertex with neighbors removed after it takes the least color
+    absent from them; one with none, other than the last removed, takes
+    the color of the lowest id removed after it."""
+    color = greedy_degeneracy_color(g).assignment
+    order, _ = elimination_order(g)
+    for i, v in enumerate(order[:-1]):
+        later = order[i + 1 :]
+        taken = {color[u] for u in g.neighbors(v) if u in later}
+        if taken:
+            assert color[v] == min(set(range(len(taken) + 1)) - taken)
+        else:
+            assert color[v] == color[min(later)]
 
 
 def test_greedy_examples():

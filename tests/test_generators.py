@@ -11,12 +11,16 @@ from minorcolor import (
     min_degree_vertex,
     write_edge_list,
 )
-from minorcolor.generators import (
-    BLOCK_MINOR_FREE_ORDER,
-    GenSpec,
-    filtered_random,
-    generate,
-)
+from minorcolor.generators import GenSpec, filtered_random, generate
+
+# Smallest complete-minor order each named block excludes (oracle-exact);
+# pasting blocks on cliques preserves these.
+BLOCK_MINOR_FREE_ORDER = {
+    (2, 2, 2, 2, 2): 8,
+    (2, 2, 2, 3, 3): 9,
+    (1, 2, 2, 2, 2, 2): 9,
+    (1, 2, 2, 2, 2): 8,
+}
 
 
 def test_equal_specs_produce_identical_edge_lists():
@@ -107,6 +111,28 @@ def test_clique_paste_infeasible_clique():
         clique_paste(((2, 2, 2, 3, 3), (1, 2, 2, 2, 2, 2)), 6, 0)
 
 
+def test_clique_paste_refuses_bad_arguments():
+    with pytest.raises(ValueError, match="^clique size must be >= 1$"):
+        clique_paste(((2, 2),), 0, 0)
+    with pytest.raises(ValueError, match="^need at least one block$"):
+        clique_paste((), 2, 0)
+    with pytest.raises(ValueError, match=r"^block \(1, 1\) has no 3-clique to paste on$"):
+        clique_paste(((2, 2, 2), (1, 1)), 3, 0)
+    spec = GenSpec("clique_paste", n=99, blocks=((2, 2, 2, 2, 2),), clique_size=5)
+    with pytest.raises(ValueError, match="^blocks paste to 10 vertices, spec says n=99$"):
+        generate(spec)
+
+
+def test_series_parallel_single_vertex():
+    g = generate(GenSpec("series_parallel", n=1))
+    assert (g.vertices, g.m) == ((0,), 0)
+
+
+def test_filtered_random_stops_when_no_pair_is_left():
+    # no 3-vertex graph has a K4 minor, so every pair is kept
+    assert filtered_random(3, 0, 4) == Graph.complete(3)
+
+
 def test_filtered_random_respects_forbidden_minor():
     for seed in range(4):
         g = generate(GenSpec("filtered_random", n=9, seed=seed, forbid=5))
@@ -145,8 +171,6 @@ def test_certify_named_examples():
 
 
 def test_recorded_block_orders_are_exact():
-    from minorcolor.generators import BLOCK_MINOR_FREE_ORDER
-
     for parts, order in BLOCK_MINOR_FREE_ORDER.items():
         block = complete_multipartite(parts)
         assert certify(block, order), parts

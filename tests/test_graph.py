@@ -166,6 +166,16 @@ def test_proper_coloring_partial_rejected():
         is_proper_coloring(Graph.complete(3), Coloring({0: 0, 1: 1}, 2))
 
 
+def test_proper_coloring_rejects_a_color_outside_the_palette():
+    with pytest.raises(ValueError, match="^color 2 outside palette of size 2$"):
+        is_proper_coloring(Graph.complete(2), Coloring({0: 0, 1: 2}, 2))
+
+
+def test_cycle_needs_three_vertices():
+    with pytest.raises(ValueError, match="at least 3 vertices"):
+        Graph.cycle(2)
+
+
 @given(graphs(max_n=12), st.data())
 @settings(max_examples=200, deadline=None)
 def test_proper_coloring_matches_an_edge_scan(g, data):
@@ -320,9 +330,8 @@ def _mask(s):
 def _check_peel(peel, ref):
     assert peel.adj == _as_masks(ref)
     assert list(peel.adj) == sorted(ref)
-    assert peel.deg == {v: mask.bit_count() for v, mask in peel.adj.items()}
     for d, bucket in enumerate(peel.buckets):
-        assert bucket == _mask(v for v, dv in peel.deg.items() if dv == d)
+        assert bucket == _mask(v for v, mask in peel.adj.items() if mask.bit_count() == d)
     if ref:
         assert peel.min_degree() == _ref_min_degree(ref)
 
