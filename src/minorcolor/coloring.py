@@ -53,6 +53,7 @@ from .graph import (
     Coloring,
     Graph,
     _bits,
+    _is_id,
     _Peel,
     is_proper_coloring,
 )
@@ -152,10 +153,10 @@ def color_by_contraction(
 def replay_trace(g: Graph, trace: ContractionTrace, delta: int, alpha: int) -> Coloring:
     """Re-run a recorded trace against its original graph, verifying each
     step, and rebuild the coloring from scratch.  Raises ValueError on any
-    mismatch between the trace and what the graph dictates, and on a step
-    of degree d > 0 that merges nothing: color_by_contraction never makes
-    one, since a non-empty neighborhood has a non-empty maximum independent
-    set."""
+    mismatch between the trace and what the graph dictates, on a step whose
+    set holds anything but vertex ids, and on a step of degree d > 0 that
+    merges nothing: color_by_contraction never makes one, since a non-empty
+    neighborhood has a non-empty maximum independent set."""
     palette = palette_bound(delta, alpha)
     recorded = iter(trace.steps)
 
@@ -166,6 +167,9 @@ def replay_trace(g: Graph, trace: ContractionTrace, delta: int, alpha: int) -> C
         s = step.independent_set
         if d and not s:
             raise ValueError(f"trace step at vertex {v} merges nothing: its set is empty")
+        bad = next((u for u in s if not _is_id(u)), None)
+        if bad is not None:
+            raise ValueError(f"trace set at vertex {v} holds {bad!r}, which is not a vertex id")
         smask = sum(1 << u for u in s)
         if smask & ~adj[v] or any(adj[u] & smask for u in s):
             raise ValueError(f"trace set {sorted(s)} is not independent in N({v})")

@@ -256,6 +256,16 @@ def test_replay_rejects_tampered_trace(tamper, message):
         replay_trace(g, trace, 5, 2)
 
 
+@pytest.mark.parametrize("bad", [-1, "a", 1.5, True])
+def test_replay_rejects_a_set_member_that_is_no_vertex_id(bad):
+    g = generate(GenSpec("planar_triangulation", n=12, seed=1))
+    trace = color_by_contraction(g, 4, 5, 2).trace
+    step = trace.steps[0]
+    trace.steps[0] = replace(step, independent_set=step.independent_set | {bad})
+    with pytest.raises(ValueError, match="which is not a vertex id"):
+        replay_trace(g, trace, 5, 2)
+
+
 @given(graphs())
 @settings(max_examples=100, deadline=None)
 def test_greedy_within_degeneracy_plus_one(g):

@@ -184,6 +184,12 @@ def _filtered_random_cases():
                 yield f"{n} {forbid} {seed}", filtered_random(n, seed, forbid)
 
 
+def _filtered_random_torso_cases():
+    # most "none" calls of these gens are decided by torso certificates
+    for forbid in (6, 7):
+        yield f"11 {forbid} 0", filtered_random(11, 0, forbid)
+
+
 def _clique_paste_cases():
     for parts in BLOCK_MINOR_FREE_ORDER:
         for blocks in (2, 3, 4):
@@ -203,11 +209,15 @@ def _clique_paste_cases():
             "0d14a5d083a10c23bd9d52afcc403c1af14fea05c7cde0ae82b3edc0bd50ee1a",
         ),
         (
+            _filtered_random_torso_cases,
+            "c46d2499df84e232fa9c5bb02efc18d423efc7f248e1419ad854608d82465332",
+        ),
+        (
             _clique_paste_cases,
             "ebdac24da75f2d07e46491fc9ff0af959cd749987d0e897f2a3cdbea8399c159",
         ),
     ],
-    ids=["filtered_random", "clique_paste"],
+    ids=["filtered_random", "filtered_random_torsos", "clique_paste"],
 )
 def test_generator_output_golden(cases, digest):
     h = hashlib.sha256()

@@ -482,7 +482,7 @@ def test_certificates_stay_silent_when_the_minor_exists(g, t):
 def test_certificate_skips_the_branch_set_search(monkeypatch, g, t, kind):
     import minorcolor.minor as minor
 
-    def no_search(adj, t):
+    def no_search(adj, t, budget=None):
         raise AssertionError("branch-set search reached")
 
     monkeypatch.setattr(minor, "_search_branch_sets", no_search)
@@ -491,3 +491,89 @@ def test_certificate_skips_the_branch_set_search(monkeypatch, g, t, kind):
     cert = minor._absence_certificate(adj, t)
     assert cert is not None and cert[0] == kind
     assert _certificate_holds(adj, t, cert)
+
+
+def test_torso_certificates_are_sound():
+    """The torso test, called directly on the input and on the reduced
+    graph, proves absence only where brute force finds no K_t minor, and
+    returns a separator that splits the graph it was given."""
+    from minorcolor.minor import _reduce, _torso_certificate
+
+    rng = random.Random(11)
+    fired = 0
+    for _ in range(2000):
+        n = rng.randint(6, 9)
+        t = rng.randint(4, 6)
+        p = rng.uniform(0.3, 0.8)
+        g = Graph(range(n), [(u, v) for u, v in combinations(range(n), 2) if rng.random() < p])
+        for adj in (dict(g._adj), _reduce(g, t)[0]):
+            sep = _torso_certificate(adj, t)
+            if sep is None:
+                continue
+            fired += 1
+            assert set(_bits(sep)) <= set(adj)
+            rest = [v for v in adj if not sep >> v & 1]
+            h = Graph(rest, [(u, v) for u, v in combinations(rest, 2) if adj[u] >> v & 1])
+            assert rest and not _is_connected(h)
+            assert not brute_force_has_minor(g, t)
+    assert fired >= 1000
+
+
+def _is_connected(g: Graph) -> bool:
+    seen, todo = set(), [g.vertices[0]]
+    while todo:
+        v = todo.pop()
+        if v not in seen:
+            seen.add(v)
+            todo.extend(g.neighbors(v))
+    return len(seen) == g.n
+
+
+@pytest.mark.parametrize(
+    "g, t",
+    [(petersen(), 5), (complete_multipartite((2, 2, 2, 2, 2)), 7)],
+    ids=["Petersen@5", "K_{2,2,2,2,2}@7"],
+)
+def test_found_within_the_budget_tries_no_torso(monkeypatch, g, t):
+    import minorcolor.minor as minor
+
+    tried = []
+    monkeypatch.setattr(minor, "_torso_certificate", lambda adj, t: tried.append(t))
+    model = has_clique_minor(g, t)
+    assert model is not None and validate_model(g, model)
+    assert not tried
+
+
+# a "none" call of filtered_random(11, 0, 6) whose first search runs out of
+# its budget; the torsos decide it, and those of its torsos that search
+# finish within their budgets
+OVER_BUDGET_NONE = Graph(
+    range(11),
+    [
+        (0, 3), (0, 4), (0, 8), (0, 9), (0, 10), (1, 2), (1, 5), (1, 6), (1, 9),
+        (2, 5), (2, 7), (2, 8), (2, 9), (2, 10), (3, 4), (3, 6), (3, 10), (4, 6),
+        (4, 7), (4, 9), (5, 9), (6, 9), (7, 8), (8, 10), (9, 10),
+    ],
+)
+
+
+def test_torsos_decide_an_over_budget_none_call(monkeypatch):
+    import minorcolor.minor as minor
+
+    search, certificate = minor._search_branch_sets, minor._torso_certificate
+    separators = []
+
+    def budgeted_only(adj, t, budget=None):
+        assert budget is not None, "unbudgeted branch-set search reached"
+        return search(adj, t, budget)
+
+    def recorded(adj, t):
+        separators.append(certificate(adj, t))
+        return separators[-1]
+
+    monkeypatch.setattr(minor, "_search_branch_sets", budgeted_only)
+    monkeypatch.setattr(minor, "_torso_certificate", recorded)
+    assert has_clique_minor(OVER_BUDGET_NONE, 6) is None
+    # the outermost torso test finishes last
+    assert separators and separators[-1] is not None
+    assert not brute_force_has_minor(OVER_BUDGET_NONE, 6)
